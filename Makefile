@@ -13,6 +13,7 @@
 #   make bench-online      regenerate BENCH_online.json (incremental vs retrain)
 #   make bench-problem     regenerate BENCH_problem.json (prepared-problem lifecycle)
 #   make profile-prepare   CPU+heap profile of the prepare-stage sweep (pprof files)
+#   make bench-e2e-test    the end-to-end benchmark module's own tests (perfbench/)
 #   make ci-smoke          one warm-started exact prepare under the race detector
 #   make fuzz-online       short fuzz pass over the online delta intake
 #   make fuzz-problem      short fuzz pass over problem deserialization
@@ -22,7 +23,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race conformance conformance-long conformance-mutate bench-domkernel bench-maxflow bench-classify bench-serve bench-shard bench-online bench-problem profile-prepare ci-smoke fuzz-online fuzz-problem serve-stress verify verify-full clean
+.PHONY: all build vet test race conformance conformance-long conformance-mutate bench-domkernel bench-maxflow bench-classify bench-serve bench-shard bench-online bench-problem profile-prepare bench-e2e-test ci-smoke fuzz-online fuzz-problem serve-stress verify verify-full clean
 
 all: check
 
@@ -140,6 +141,16 @@ profile-prepare:
 	$(GO) run ./cmd/benchtab -problem /tmp/BENCH_problem.profile.json -seed 42 -quick \
 		-cpuprofile prepare.cpu.pprof -memprofile prepare.mem.pprof
 	@echo "wrote prepare.cpu.pprof and prepare.mem.pprof (go tool pprof <file>)"
+
+# The end-to-end benchmark (perfbench/) is its own Go module, so the
+# root `go test ./...` skips it. Run its tests under the environment
+# perfbench/run.sh builds with; caches stay in .bench_build/. ~20s.
+BENCH_BUILD := $(CURDIR)/.bench_build
+bench-e2e-test:
+	mkdir -p $(BENCH_BUILD)/tmp
+	cd perfbench && GOCACHE=$(BENCH_BUILD)/gocache GOTMPDIR=$(BENCH_BUILD)/tmp \
+		GOPATH=$(BENCH_BUILD)/gopath GOTOOLCHAIN=local GOFLAGS=-mod=mod \
+		GOWORK=off GOPROXY=off $(GO) test -count=1 ./...
 
 # CI quick gate: one warm-started exact-decomposition prepare (dense,
 # d=3) under the race detector, asserting the solve matches the legacy

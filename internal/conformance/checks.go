@@ -570,10 +570,11 @@ func auditSolution(tag string, ws geom.WeightedSet, sol passive.Solution) error 
 }
 
 // CheckPassiveDifferential solves the instance through every redundant
-// configuration — sparse construction under all four max-flow solvers,
-// the literal dense construction, a caller-supplied chain
-// decomposition — and requires identical optima and contending counts;
-// small instances are additionally checked against the exponential
+// configuration — sparse construction under every registered max-flow
+// solver, the literal dense construction, a caller-supplied exact
+// chain decomposition and the greedy cover the d ≥ 3 fallback runs —
+// and requires identical optima and identical contending masks; small
+// instances are additionally checked against the exponential
 // NaiveSolve.
 func CheckPassiveDifferential(in Instance) error {
 	ws := in.WeightedSet()
@@ -587,7 +588,17 @@ func CheckPassiveDifferential(in Instance) error {
 		return nil
 	}
 
-	base, err := passive.Solve(ws, passive.Options{})
+	// Solve is Prepare followed by one Resolve; going through Prepare
+	// exposes the contending mask itself, not just its count.
+	solve := func(opts passive.Options) (passive.Solution, []bool, error) {
+		pp, err := passive.Prepare(ws, opts)
+		if err != nil {
+			return passive.Solution{}, nil, err
+		}
+		sol, err := pp.Resolve(opts.Solver)
+		return sol, pp.Contending(), err
+	}
+	base, baseMask, err := solve(passive.Options{})
 	if err != nil {
 		return fmt.Errorf("base solve: %w", err)
 	}
@@ -598,6 +609,7 @@ func CheckPassiveDifferential(in Instance) error {
 	variants := []solveVariant{
 		{"dense", passive.Options{Dense: true}},
 		{"chains", passive.Options{Chains: chains.Decompose(in.Pts()).Chains}},
+		{"greedy-chains", passive.Options{Chains: chains.GreedyDecompose(in.Pts())}},
 	}
 	// Every registered max-flow solver drives the sparse construction;
 	// registry additions are covered without touching this file.
@@ -605,15 +617,17 @@ func CheckPassiveDifferential(in Instance) error {
 		variants = append(variants, solveVariant{name, passive.Options{Solver: passive.FlowSolver(solver)}})
 	}
 	for _, v := range variants {
-		sol, err := passive.Solve(ws, v.opts)
+		sol, mask, err := solve(v.opts)
 		if err != nil {
 			return fmt.Errorf("%s solve: %w", v.name, err)
 		}
 		if !almostEq(sol.WErr, base.WErr) {
 			return fmt.Errorf("%s optimum %g != base optimum %g", v.name, sol.WErr, base.WErr)
 		}
-		if sol.Stats.Contending != base.Stats.Contending {
-			return fmt.Errorf("%s contending %d != base contending %d", v.name, sol.Stats.Contending, base.Stats.Contending)
+		for i := range mask {
+			if mask[i] != baseMask[i] {
+				return fmt.Errorf("%s contending[%d] = %v, base %v", v.name, i, mask[i], baseMask[i])
+			}
 		}
 		if err := auditSolution(v.name, ws, sol); err != nil {
 			return err

@@ -21,9 +21,9 @@ import (
 // outside the decomposition domain — geom.Dominates makes NaN points
 // mutually dominating without being Equal (NaN != NaN), so the "DAG"
 // acquires 2-cycles and no chain partition exists — and are skipped,
-// matching the problem/online checks' hasNonFinite gates. The NaN
-// corner fixtures still run the check to pin that it declines
-// gracefully instead of panicking.
+// matching the problem check's NaN gate. The NaN corner fixtures
+// still run the check to pin that it declines gracefully instead of
+// panicking.
 func CheckDecomposeWarmStart(in Instance) error {
 	if in.N() == 0 {
 		return nil

@@ -120,7 +120,8 @@ func buildGraph(ws geom.WeightedSet, opts Options) (builtGraph, error) {
 	// Contending points (Section 5.1): a label-0 point dominating some
 	// label-1 point, or a label-1 point dominated by some label-0
 	// point. The dense path is the paper's literal O(dn²) scan; the
-	// sparse path answers the same question through a chain index.
+	// kernel paths read it off the matrix, and the chain path tests
+	// each point against at most w chain ends (see sparse.go).
 	var contending []bool
 	var ci chainIndex
 	var km *domgraph.Matrix       // non-nil on the kernel path

@@ -28,20 +28,18 @@ import (
 //
 // Hence the two networks admit exactly the same source-sink cuts made
 // of finite edges, and the min cut — which never uses ∞ edges
-// (Lemma 18) — is unchanged. Edge count drops to O(n·w).
+// (Lemma 18) — is unchanged. Over a cover of w chains the contending
+// scan costs O(n·w·d) and the ∞-edge builder O(m·w·d·log m) for m
+// contending points; edge count drops to O(m·w).
 
 // chainIndex locates points within a chain decomposition.
 type chainIndex struct {
-	dec      chains.Decomposition
-	chainOf  []int   // chain id per point index
-	posInCh  []int   // position within its chain
-	labelOne [][]int // per chain: prefix counts of label-1 members
-	labelZer [][]int // per chain: prefix counts of label-0 members
+	dec     chains.Decomposition
+	chainOf []int // chain id per point index
 }
 
 // buildChainIndex decomposes the points of ws into chains (or adopts
-// the caller's decomposition) and precomputes per-chain prefix label
-// counts.
+// the caller's decomposition) and records each point's chain.
 func buildChainIndex(ws geom.WeightedSet, preset [][]int) chainIndex {
 	pts := make([]geom.Point, len(ws))
 	for i := range ws {
@@ -56,76 +54,52 @@ func buildChainIndex(ws geom.WeightedSet, preset [][]int) chainIndex {
 	} else {
 		dec = chains.Decompose(pts)
 	}
-	ci := chainIndex{
-		dec:      dec,
-		chainOf:  make([]int, len(ws)),
-		posInCh:  make([]int, len(ws)),
-		labelOne: make([][]int, len(dec.Chains)),
-		labelZer: make([][]int, len(dec.Chains)),
-	}
+	ci := chainIndex{dec: dec, chainOf: make([]int, len(ws))}
 	for c, chain := range dec.Chains {
-		ones := make([]int, len(chain)+1)
-		zeros := make([]int, len(chain)+1)
-		for k, idx := range chain {
+		for _, idx := range chain {
 			ci.chainOf[idx] = c
-			ci.posInCh[idx] = k
-			ones[k+1] = ones[k]
-			zeros[k+1] = zeros[k]
-			if ws[idx].Label == geom.Positive {
-				ones[k+1]++
-			} else {
-				zeros[k+1]++
-			}
 		}
-		ci.labelOne[c] = ones
-		ci.labelZer[c] = zeros
 	}
 	return ci
 }
 
-// dominatedPrefix returns the number of members of chain c dominated
-// by point p (they always form a prefix of the ascending chain).
-// Point p itself, when it lies in chain c, is part of that prefix
-// (a point dominates itself); callers that need strictly-other points
-// subtract it out via the label counts.
-func (ci *chainIndex) dominatedPrefix(ws geom.WeightedSet, p geom.Point, c int) int {
-	chain := ci.dec.Chains[c]
-	return sort.Search(len(chain), func(k int) bool {
-		return !geom.Dominates(p, ws[chain[k]].P)
-	})
-}
-
-// dominatingSuffix returns the start position of the members of chain
-// c that dominate point p (they always form a suffix).
-func (ci *chainIndex) dominatingSuffix(ws geom.WeightedSet, p geom.Point, c int) int {
-	chain := ci.dec.Chains[c]
-	return sort.Search(len(chain), func(k int) bool {
-		return geom.Dominates(ws[chain[k]].P, p)
-	})
-}
-
 // contendingPoints computes the contending set of Section 5.1 in
-// O(n·w·(d + log n)) time using the chain index: a label-0 point is
-// contending iff some dominated chain prefix contains a label-1
-// point; a label-1 point iff some dominating chain suffix contains a
-// label-0 point.
+// O(n·w·d) time. Along an ascending chain the members a point
+// dominates form a prefix and the members dominating it a suffix
+// (transitivity), so a label-0 point contends iff it dominates the
+// first label-1 member of some chain, and a label-1 point iff the last
+// label-0 member of some chain dominates it. One pass collects those
+// at most w chain ends per label; every point then tests only them.
 func contendingPoints(ws geom.WeightedSet, ci *chainIndex) []bool {
+	var firstOnes, lastZeros []geom.Point
+	for _, chain := range ci.dec.Chains {
+		for _, idx := range chain {
+			if ws[idx].Label == geom.Positive {
+				firstOnes = append(firstOnes, ws[idx].P)
+				break
+			}
+		}
+		for k := len(chain) - 1; k >= 0; k-- {
+			if ws[chain[k]].Label == geom.Negative {
+				lastZeros = append(lastZeros, ws[chain[k]].P)
+				break
+			}
+		}
+	}
 	out := make([]bool, len(ws))
 	for i := range ws {
 		p := ws[i].P
 		switch ws[i].Label {
 		case geom.Negative:
-			for c := range ci.dec.Chains {
-				pre := ci.dominatedPrefix(ws, p, c)
-				if ci.labelOne[c][pre] > 0 {
+			for _, q := range firstOnes {
+				if geom.Dominates(p, q) {
 					out[i] = true
 					break
 				}
 			}
 		case geom.Positive:
-			for c := range ci.dec.Chains {
-				suf := ci.dominatingSuffix(ws, p, c)
-				if ci.labelZer[c][len(ci.dec.Chains[c])]-ci.labelZer[c][suf] > 0 {
+			for _, q := range lastZeros {
+				if geom.Dominates(q, p) {
 					out[i] = true
 					break
 				}

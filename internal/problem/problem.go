@@ -15,7 +15,10 @@
 // and implicit answers dominance queries from per-dimension rank
 // arrays without materializing anything. Auto picks dense up to
 // DenseLimit points and blocked/implicit past it, so the n²/64 memory
-// wall never stops Prepare.
+// wall never stops Prepare. Prepare builds the dense matrix, which the
+// decomposition and the network read; a blocked or implicit view is
+// built on first use, since neither the d ≤ 2 fast path nor the
+// greedy fallback reads it.
 package problem
 
 import (
@@ -191,7 +194,9 @@ type PrepareStats struct {
 	// Per-stage wall times: dominance representation build, chain
 	// decomposition (including a transient materialization when the
 	// path is exact-transient), flow-network construction, and the
-	// whole Prepare call end to end.
+	// whole Prepare call end to end. MatrixNS is zero when Prepare
+	// built no view (the d ≤ 2 fast path and the greedy fallback leave
+	// a blocked or implicit view to the first View call).
 	MatrixNS    int64 `json:"matrix_ns"`
 	DecomposeNS int64 `json:"decompose_ns"`
 	NetworkNS   int64 `json:"network_ns"`
@@ -207,14 +212,18 @@ type SolveOptions struct {
 }
 
 // Problem is one prepared instance. It is immutable after Prepare /
-// Adopt / Read; Solve and Violations are safe for concurrent use.
+// Adopt / Read; Solve, Violations and View are safe for concurrent
+// use.
 type Problem struct {
-	ws     geom.WeightedSet // owned (Prepare clones; Adopt documents aliasing)
-	pts    []geom.Point     // ws[i].P, in input order
-	dim    int
-	mode   MatrixMode       // resolved, never ModeAuto
-	view   domgraph.View    // the dominance representation
-	matrix *domgraph.Matrix // non-nil iff mode is dense (same object as view)
+	ws      geom.WeightedSet // owned (Prepare clones; Adopt documents aliasing)
+	pts     []geom.Point     // ws[i].P, in input order
+	dim     int
+	mode    MatrixMode             // resolved, never ModeAuto
+	matrix  *domgraph.Matrix       // non-nil iff mode is dense (then it is the view)
+	blocked domgraph.BlockedConfig // tile-cache tuning of a blocked view
+
+	viewOnce sync.Once
+	view     domgraph.View // non-dense view, built by the first View call
 
 	dec        chains.Decomposition
 	exactWidth bool // dec is a minimum decomposition (width = dominance width)
@@ -268,42 +277,41 @@ func Prepare(ws geom.WeightedSet, opts Options) (*Problem, error) {
 		}
 	}
 
-	matrixStart := time.Now()
-	var view domgraph.View
-	var matrix *domgraph.Matrix
-	switch mode {
-	case ModeDense:
-		matrix = domgraph.Build(pts)
-		view = matrix
-	case ModeBlocked:
-		view = domgraph.NewBlocked(pts, o.Blocked)
-	case ModeImplicit:
-		view = domgraph.NewImplicit(pts)
-	}
+	p := &Problem{ws: owned, pts: pts, dim: d, mode: mode, blocked: o.Blocked}
+	// Only the dense decomposition and the exact-transient one read a
+	// view; every other path leaves it to the first View call.
+	transient := mode != ModeDense && d >= 3 && n <= o.ExactDecomposeLimit && denseFootprint(n) <= o.MaxDenseBytes
 	var st PrepareStats
-	st.MatrixNS = time.Since(matrixStart).Nanoseconds()
+	if mode == ModeDense || transient {
+		matrixStart := time.Now()
+		if mode == ModeDense {
+			p.matrix = domgraph.Build(pts)
+		} else {
+			p.View()
+		}
+		st.MatrixNS = time.Since(matrixStart).Nanoseconds()
+	}
 
 	decStart := time.Now()
 	var dec chains.Decomposition
 	var dst chains.DecomposeStats
-	netMatrix := matrix
+	netMatrix := p.matrix
 	exact := true
 	switch {
 	case d <= 2:
 		// O(n log n) fast paths; never touch the matrix.
 		dec = chains.Decompose(pts)
 		st.DecomposePath = PathFast2D
-	case matrix != nil:
-		dec, dst = chains.DecomposeMatrixStats(pts, matrix)
+	case p.matrix != nil:
+		dec, dst = chains.DecomposeMatrixStats(pts, p.matrix)
 		st.DecomposePath = PathExactDense
-	case n <= o.ExactDecomposeLimit && denseFootprint(n) <= o.MaxDenseBytes:
+	case transient:
 		// Materialize transiently for the exact warm-started cover; the
 		// matrix (== domgraph.Build's bits) is dropped right after the
 		// network build in assemble.
-		m := view.Materialize()
-		dec, dst = chains.DecomposeMatrixStats(pts, m)
+		netMatrix = p.View().Materialize()
+		dec, dst = chains.DecomposeMatrixStats(pts, netMatrix)
 		st.DecomposePath = PathExactTransient
-		netMatrix = m
 	default:
 		gc := chains.GreedyDecompose(pts)
 		dec = chains.Decomposition{Chains: gc, Width: len(gc)}
@@ -313,7 +321,7 @@ func Prepare(ws geom.WeightedSet, opts Options) (*Problem, error) {
 	st.DecomposeNS = time.Since(decStart).Nanoseconds()
 	st.SeedChains, st.Augmentations = dst.SeedChains, dst.Augmentations
 	st.Phases, st.CertEarlyExit = dst.Phases, dst.CertEarlyExit
-	return assemble(owned, pts, mode, view, matrix, netMatrix, dec, exact, st, start)
+	return p.assemble(netMatrix, dec, exact, st, start)
 }
 
 // Adopt wraps an already-built dense matrix (domgraph.Build over ws's
@@ -344,18 +352,20 @@ func Adopt(ws geom.WeightedSet, m *domgraph.Matrix) (*Problem, error) {
 		Phases:        dst.Phases,
 		CertEarlyExit: dst.CertEarlyExit,
 	}
-	return assemble(ws, pts, ModeDense, m, m, m, dec, true, st, decStart)
+	p := &Problem{ws: ws, pts: pts, dim: ws.Dim(), mode: ModeDense, matrix: m}
+	return p.assemble(m, dec, true, st, decStart)
 }
 
-// assemble builds the passive network and finishes construction.
-// netMatrix (possibly nil, possibly transient) drives the kernel edge
-// builder; matrix is what the Problem retains. st carries the stage
-// timings accumulated so far; assemble adds the network stage and the
-// end-to-end total from start.
-func assemble(ws geom.WeightedSet, pts []geom.Point, mode MatrixMode, view domgraph.View, matrix, netMatrix *domgraph.Matrix, dec chains.Decomposition, exact bool, st PrepareStats, start time.Time) (*Problem, error) {
+// assemble builds the passive network and finishes construction of p,
+// whose points, mode and (dense) matrix are already set. netMatrix
+// (possibly nil, possibly transient) drives the kernel edge builder.
+// st carries the stage timings accumulated so far; assemble adds the
+// network stage and the end-to-end total from start.
+func (p *Problem) assemble(netMatrix *domgraph.Matrix, dec chains.Decomposition, exact bool, st PrepareStats, start time.Time) (*Problem, error) {
+	ws := p.ws
 	netStart := time.Now()
 	popts := passive.Options{Chains: dec.Chains}
-	if netMatrix != nil && ws.Dim() >= 3 {
+	if netMatrix != nil && p.dim >= 3 {
 		// Kernel path, mirroring passive.Solve's own d ≥ 3 dispatch so
 		// the constructed network is bit-identical to the legacy one.
 		// At d ≤ 2 legacy Solve never materializes a matrix, so neither
@@ -368,21 +378,11 @@ func assemble(ws geom.WeightedSet, pts []geom.Point, mode MatrixMode, view domgr
 	}
 	st.NetworkNS = time.Since(netStart).Nanoseconds()
 	st.TotalNS = time.Since(start).Nanoseconds()
-	st.N, st.Dim = len(ws), ws.Dim()
-	st.Mode = mode.String()
+	st.N, st.Dim = len(ws), p.dim
+	st.Mode = p.mode.String()
 	st.Width, st.ExactWidth = dec.Width, exact
-	return &Problem{
-		ws:         ws,
-		pts:        pts,
-		dim:        ws.Dim(),
-		mode:       mode,
-		view:       view,
-		matrix:     matrix,
-		dec:        dec,
-		exactWidth: exact,
-		stats:      st,
-		prep:       prep,
-	}, nil
+	p.dec, p.exactWidth, p.stats, p.prep = dec, exact, st, prep
+	return p, nil
 }
 
 func pointsOf(ws geom.WeightedSet) []geom.Point {
@@ -438,8 +438,22 @@ func (p *Problem) Labels() []geom.Label {
 }
 
 // View returns the dominance representation. All modes answer exactly
-// the bits of domgraph.BuildNaive over Points.
-func (p *Problem) View() domgraph.View { return p.view }
+// the bits of domgraph.BuildNaive over Points. In dense mode it is the
+// matrix; otherwise the blocked or implicit view is built by the first
+// call, once, and shared by every later one.
+func (p *Problem) View() domgraph.View {
+	if p.matrix != nil {
+		return p.matrix
+	}
+	p.viewOnce.Do(func() {
+		if p.mode == ModeBlocked {
+			p.view = domgraph.NewBlocked(p.pts, p.blocked)
+		} else {
+			p.view = domgraph.NewImplicit(p.pts)
+		}
+	})
+	return p.view
+}
 
 // Matrix returns the dense matrix, or nil when the mode does not
 // materialize one.
@@ -515,7 +529,7 @@ func (p *Problem) Violations() int {
 	case p.matrix != nil:
 		p.violations = p.matrix.CountViolations(labels)
 	case len(p.ws) <= streamCountLimit:
-		p.violations = domgraph.ViewCountViolations(p.view, labels)
+		p.violations = domgraph.ViewCountViolations(p.View(), labels)
 	default:
 		p.violations = chainCountViolations(p.pts, labels, p.dec.Chains)
 	}

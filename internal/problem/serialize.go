@@ -230,10 +230,8 @@ func Read(r io.Reader) (*Problem, error) {
 	}
 	decomp := chains.Decomposition{Chains: pf.Chains, Width: pf.Width, Antichain: pf.Antichain}
 
-	var view domgraph.View
 	var matrix *domgraph.Matrix
-	switch mode {
-	case ModeDense:
+	if mode == ModeDense {
 		if pf.Matrix != nil {
 			dom, derr := decodeWords(pf.Matrix.Dom)
 			if derr != nil {
@@ -253,18 +251,14 @@ func Read(r io.Reader) (*Problem, error) {
 		} else {
 			matrix = domgraph.Build(pts)
 		}
-		view = matrix
-	case ModeBlocked:
-		view = domgraph.NewBlocked(pts, domgraph.BlockedConfig{})
-	case ModeImplicit:
-		view = domgraph.NewImplicit(pts)
 	}
 
 	// A restored Problem keeps its stored decomposition verbatim;
 	// PathLoaded with zero stage timings marks it as not freshly
 	// prepared.
 	st := PrepareStats{DecomposePath: PathLoaded}
-	p, err := assemble(ws, pts, mode, view, matrix, matrix, decomp, pf.ExactWidth, st, time.Now())
+	p := &Problem{ws: ws, pts: pts, dim: pf.Dim, mode: mode, matrix: matrix}
+	p, err = p.assemble(matrix, decomp, pf.ExactWidth, st, time.Now())
 	if err != nil {
 		return nil, err
 	}
