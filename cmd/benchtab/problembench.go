@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"monoclass/internal/dataset"
 	"monoclass/internal/geom"
 	"monoclass/internal/problem"
 )
@@ -98,6 +99,20 @@ func problemWorkload(rng *rand.Rand, n, d, w int) geom.WeightedSet {
 	return ws
 }
 
+// plantedNoisy is dataset.Planted at 5% label flips with unit weights:
+// uniform points in [0,1]^d labelled by Σx > d/2. Unlike the band
+// workload its width grows with n and its flips spread over the whole
+// cube, so the matching, the ∞-edge network and the flow solve all do
+// real work.
+func plantedNoisy(rng *rand.Rand, n, d int) geom.WeightedSet {
+	lps := dataset.Planted(rng, dataset.PlantedParams{N: n, D: d, Noise: 0.05})
+	ws := make(geom.WeightedSet, n)
+	for i, lp := range lps {
+		ws[i] = geom.WeightedPoint{P: lp.P, Label: lp.Label, Weight: 1}
+	}
+	return ws
+}
+
 // trackPeakHeap samples HeapAlloc while fn runs and returns fn's
 // result alongside the observed peak (resolution a few ms — good
 // enough to catch transient allocations orders of magnitude above the
@@ -141,23 +156,30 @@ func heapBaseline() uint64 {
 // mode) and matrix modes, writing the JSON report to path.
 func runProblemBench(path string, seed int64, quick bool) error {
 	type spec struct {
-		n, d int
-		mode problem.MatrixMode
+		n, d    int
+		mode    problem.MatrixMode
+		planted bool // plantedNoisy instead of the band workload
 	}
+	// The planted row is the one shape where matching, network and
+	// flow all do real work; both modes keep it so profile-prepare
+	// sees it.
+	noisy := spec{16384, 3, problem.ModeDense, true}
 	specs := []spec{
-		{4096, 3, problem.ModeAuto},      // auto → dense
-		{16384, 3, problem.ModeDense},    // dense, 67 MB matrix; warm-start acceptance row
-		{65536, 2, problem.ModeImplicit}, // acceptance row for re-solve speedup
-		{65536, 3, problem.ModeDense},    // dense at the raised exact limit (1 GiB matrix)
-		{65536, 3, problem.ModeBlocked},  // blocked, exact via transient materialization
-		{262144, 3, problem.ModeBlocked}, // past the exact limit: greedy fallback
-		{1 << 20, 2, problem.ModeImplicit}, // the 10⁶ row the dense wall forbids
+		{4096, 3, problem.ModeAuto, false},        // auto → dense
+		{16384, 3, problem.ModeDense, false},      // dense, 67 MB matrix; warm-start acceptance row
+		noisy,                                     // dense, width ≈1.2k, ≈15k contending
+		{65536, 2, problem.ModeImplicit, false},   // acceptance row for re-solve speedup
+		{65536, 3, problem.ModeDense, false},      // dense at the raised exact limit (1 GiB matrix)
+		{65536, 3, problem.ModeBlocked, false},    // blocked, exact via transient materialization
+		{262144, 3, problem.ModeBlocked, false},   // past the exact limit: greedy fallback
+		{1 << 20, 2, problem.ModeImplicit, false}, // the 10⁶ row the dense wall forbids
 	}
 	if quick {
 		specs = []spec{
-			{2048, 3, problem.ModeAuto},
-			{8192, 3, problem.ModeBlocked},
-			{16384, 2, problem.ModeImplicit},
+			{2048, 3, problem.ModeAuto, false},
+			{8192, 3, problem.ModeBlocked, false},
+			{16384, 2, problem.ModeImplicit, false},
+			noisy,
 		}
 	}
 
@@ -173,7 +195,13 @@ func runProblemBench(path string, seed int64, quick bool) error {
 	const width = 16
 	for _, s := range specs {
 		rng := rand.New(rand.NewSource(seed))
-		ws := problemWorkload(rng, s.n, s.d, width)
+		var ws geom.WeightedSet
+		workload := ""
+		if s.planted {
+			ws, workload = plantedNoisy(rng, s.n, s.d), "_planted"
+		} else {
+			ws = problemWorkload(rng, s.n, s.d, width)
+		}
 		opts := problem.Options{Mode: s.mode}
 
 		base := heapBaseline()
@@ -221,7 +249,7 @@ func runProblemBench(path string, seed int64, quick bool) error {
 		fromRaw := prepareNs + solveNs
 		pst := p.Stats()
 		row := problemRow{
-			Name:           fmt.Sprintf("Problem/n%d_d%d_%s", s.n, s.d, p.Mode()),
+			Name:           fmt.Sprintf("Problem/n%d_d%d_%s%s", s.n, s.d, p.Mode(), workload),
 			N:              s.n,
 			Dim:            s.d,
 			Mode:           p.Mode().String(),

@@ -74,6 +74,8 @@ type MatchingStats struct {
 	SeedSize int
 	// Phases counts BFS layerings run, including the final empty one
 	// that certifies maximality (so a perfect seed still costs 1).
+	// Every phase but that last augments at least once along shortest
+	// augmenting paths, so Phases ≤ Augmentations + 1.
 	Phases int
 	// Augmentations counts augmenting paths applied on top of the
 	// seed; always the final size minus SeedSize.
@@ -82,10 +84,8 @@ type MatchingStats struct {
 
 // MaxMatchingBitset is Hopcroft–Karp over the packed adjacency from an
 // empty matching. The phase structure (and therefore the O(√V) phase
-// bound) is identical to MaxMatching; the BFS layering additionally
-// keeps an unvisited-right bitset so each row scan is one AND per word
-// and every right vertex is expanded at most once per phase, making a
-// BFS O(V²/64) instead of O(E).
+// bound) is identical to MaxMatching; see MaxMatchingBitsetWarm for
+// how a phase runs on the packed rows.
 func MaxMatchingBitset(b *BitsetBipartite) Matching {
 	m, _ := MaxMatchingBitsetWarm(b, nil)
 	return m
@@ -99,6 +99,20 @@ func MaxMatchingBitset(b *BitsetBipartite) Matching {
 // not user input). Hopcroft–Karp converges to a maximum matching from
 // any valid initial matching; since each phase augments at least once,
 // the whole run costs at most (max − |seed|) + 1 BFS phases.
+//
+// A phase is layered on the packed rows. The BFS from the free left
+// vertices assigns every right vertex to the first layer that reaches
+// it (one AND per word against an unvisited bitset) and keeps each
+// layer's matched right vertices as a sparse list of non-zero words,
+// next to one bitset of the free right vertices. The DFS from a
+// layer-L left vertex scans only row ∧ free and row ∧ layer[L] — the
+// right vertices whose mates sit on layer L+1 — and clears each right
+// vertex as it enters it. A phase therefore enters every right vertex
+// at most once, and a visit costs O(V/64) words however dense the row.
+// Like the adjacency-list solver, the DFS takes a free right vertex
+// wherever the layering meets one, so a phase may also augment along
+// paths longer than the shortest; that keeps the phase count of the
+// plain DFS (every phase but the last still augments at least once).
 func MaxMatchingBitsetWarm(b *BitsetBipartite, seedL []int) (Matching, MatchingStats) {
 	matchL := make([]int, b.nLeft)
 	matchR := make([]int, b.nRight)
@@ -132,86 +146,126 @@ func MaxMatchingBitsetWarm(b *BitsetBipartite, seedL []int) (Matching, MatchingS
 		}
 	}
 
-	const inf = int(^uint(0) >> 1)
-	dist := make([]int, b.nLeft)
-	queue := make([]int, 0, b.nLeft)
-	unvis := make([]uint64, b.words)
-
-	bfs := func() bool {
-		queue = queue[:0]
-		for u := 0; u < b.nLeft; u++ {
-			if matchL[u] == unmatched {
-				dist[u] = 0
-				queue = append(queue, u)
-			} else {
-				dist[u] = inf
-			}
-		}
-		for w := range unvis {
-			unvis[w] = ^uint64(0)
-		}
-		if tail := b.nRight & 63; tail != 0 && b.words > 0 {
-			unvis[b.words-1] = 1<<uint(tail) - 1
-		}
-		found := false
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			row := b.row(u)
-			for w, bitsW := range row {
-				cand := bitsW & unvis[w]
-				if cand == 0 {
-					continue
-				}
-				unvis[w] &^= cand
-				for cand != 0 {
-					v := w<<6 + bits.TrailingZeros64(cand)
-					cand &= cand - 1
-					x := matchR[v]
-					if x == unmatched {
-						found = true
-					} else if dist[x] == inf {
-						dist[x] = dist[u] + 1
-						queue = append(queue, x)
-					}
-				}
-			}
-		}
-		return found
+	l := layering{
+		unvis: make([]uint64, b.words),
+		found: make([]uint64, b.words),
+		free:  make([]uint64, b.words),
 	}
-
-	var dfs func(u int) bool
-	dfs = func(u int) bool {
-		row := b.row(u)
-		for w, bitsW := range row {
-			for bitsW != 0 {
-				v := w<<6 + bits.TrailingZeros64(bitsW)
-				bitsW &= bitsW - 1
-				x := matchR[v]
-				if x == unmatched || (dist[x] == dist[u]+1 && dfs(x)) {
-					matchL[u] = v
-					matchR[v] = u
-					return true
-				}
-			}
-		}
-		dist[u] = inf // dead end: prune for the rest of this phase
-		return false
-	}
-
 	size := st.SeedSize
 	for {
 		st.Phases++
-		if !bfs() {
+		if !l.bfs(b, matchL, matchR) {
 			break
 		}
-		for u := 0; u < b.nLeft; u++ {
-			if matchL[u] == unmatched && dfs(u) {
+		for _, u := range l.queue[:l.nfree] {
+			if l.dfs(b, matchL, matchR, u, 0) {
 				size++
 				st.Augmentations++
 			}
 		}
 	}
 	return Matching{MatchLeft: matchL, MatchRight: matchR, Size: size}, st
+}
+
+// layering is the per-phase state of the bitset Hopcroft–Karp. The
+// left vertices sit in queue in BFS order, the free ones first. The
+// matched right vertices of layer L — those first reached from left
+// layer L — are the words idx[start[L]:start[L+1]], with their bits
+// in the parallel bits slice. free holds the free right vertices not
+// yet entered this phase. The buffers are reused across phases.
+type layering struct {
+	queue []int
+	nfree int      // queue[:nfree] is left layer 0
+	unvis []uint64 // right vertices no layer has reached yet
+	found []uint64 // the layer being built, dense
+	start []int
+	idx   []int
+	bits  []uint64
+	free  []uint64
+}
+
+// bfs layers the graph from the free left vertices and reports whether
+// some augmenting path exists.
+func (l *layering) bfs(b *BitsetBipartite, matchL, matchR []int) bool {
+	l.queue = l.queue[:0]
+	for u, v := range matchL {
+		if v == unmatched {
+			l.queue = append(l.queue, u)
+		}
+	}
+	l.nfree = len(l.queue)
+	clear(l.free)
+	for v, x := range matchR {
+		if x == unmatched {
+			l.free[v>>6] |= 1 << uint(v&63)
+		}
+	}
+	for w := range l.unvis {
+		l.unvis[w] = ^uint64(0)
+	}
+	if tail := b.nRight & 63; tail != 0 {
+		l.unvis[b.words-1] = 1<<uint(tail) - 1
+	}
+	l.start, l.idx, l.bits = append(l.start[:0], 0), l.idx[:0], l.bits[:0]
+	reached := false // some free right vertex is reachable
+	for head := 0; head < len(l.queue); {
+		for end := len(l.queue); head < end; head++ {
+			for w, bitsW := range b.row(l.queue[head]) {
+				cand := bitsW & l.unvis[w]
+				if cand == 0 {
+					continue
+				}
+				l.unvis[w] &^= cand
+				for ; cand != 0; cand &= cand - 1 {
+					if x := matchR[w<<6+bits.TrailingZeros64(cand)]; x == unmatched {
+						reached = true
+					} else {
+						l.found[w] |= cand & -cand
+						l.queue = append(l.queue, x) // next left layer
+					}
+				}
+			}
+		}
+		for w, fw := range l.found {
+			if fw != 0 {
+				l.idx = append(l.idx, w)
+				l.bits = append(l.bits, fw)
+				l.found[w] = 0
+			}
+		}
+		l.start = append(l.start, len(l.idx))
+	}
+	return reached
+}
+
+// dfs looks for an augmenting path from u on left layer L and flips it
+// if found.
+func (l *layering) dfs(b *BitsetBipartite, matchL, matchR []int, u, L int) bool {
+	row := b.row(u)
+	for w, fw := range l.free {
+		if cand := row[w] & fw; cand != 0 {
+			bit := cand & -cand
+			l.free[w] &^= bit
+			v := w<<6 + bits.TrailingZeros64(bit)
+			matchL[u] = v
+			matchR[v] = u
+			return true
+		}
+	}
+	for e := l.start[L]; e < l.start[L+1]; e++ {
+		w := l.idx[e]
+		for cand := row[w] & l.bits[e]; cand != 0; cand &= cand - 1 {
+			bit := cand & -cand
+			l.bits[e] &^= bit // entered: never again this phase
+			v := w<<6 + bits.TrailingZeros64(bit)
+			if l.dfs(b, matchL, matchR, matchR[v], L+1) {
+				matchL[u] = v
+				matchR[v] = u
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // MinVertexCoverBitset is MinVertexCover over the packed adjacency:

@@ -23,6 +23,7 @@ package maxflow
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Network is a flow network over vertices 0..n-1 with designated
@@ -76,6 +77,16 @@ func (g *Network) Source() int { return g.source }
 
 // Sink returns the sink vertex.
 func (g *Network) Sink() int { return g.sink }
+
+// Grow reserves room for m more AddEdge calls, so a caller that knows
+// its edge count up front fills the per-edge arrays without
+// reallocating them.
+func (g *Network) Grow(m int) {
+	g.eu = slices.Grow(g.eu, m)
+	g.ev = slices.Grow(g.ev, m)
+	g.ecap = slices.Grow(g.ecap, m)
+	g.einf = slices.Grow(g.einf, m)
+}
 
 // AddEdge adds a directed edge u -> v with the given capacity, which
 // must be non-negative and may be +Inf. It returns an edge identifier

@@ -75,8 +75,7 @@ func TestContendingChainEndsMatchLiteral(t *testing.T) {
 			{"singletons", singletons},
 		}
 		for _, cv := range covers {
-			ci := buildChainIndex(ws, cv.chains)
-			got := contendingPoints(ws, &ci)
+			got := contendingPoints(ws, cv.chains)
 			pp, err := Prepare(ws, Options{Chains: cv.chains})
 			if err != nil {
 				t.Fatalf("trial %d %s: Prepare: %v", trial, cv.name, err)

@@ -3,7 +3,7 @@ package passive
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"monoclass/internal/chains"
@@ -63,9 +63,19 @@ func TestKernelSolveMatchesDense(t *testing.T) {
 	}
 }
 
-// TestSparseEdgesMatrixMatchesScalar: the kernel ∞-edge builder must
-// emit exactly the same edge set as the scalar chain-index builder
-// when both run over the same decomposition.
+// flatten concatenates the ∞-edge blocks into the edge sequence.
+func flatten(blocks [][]sparseEdge) []sparseEdge {
+	var out []sparseEdge
+	for _, b := range blocks {
+		out = append(out, b...)
+	}
+	return out
+}
+
+// TestSparseEdgesMatrixMatchesScalar: the ∞-edge builder must emit the
+// same edge sequence whether its dominance predicate reads the
+// bit-packed matrix or calls geom.Dominates, and the matrix contending
+// scan must agree with the chain-end scan.
 func TestSparseEdgesMatrixMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for trial := 0; trial < 30; trial++ {
@@ -79,38 +89,19 @@ func TestSparseEdgesMatrixMatchesScalar(t *testing.T) {
 			labels[i] = ws[i].Label
 		}
 		m := domgraph.Build(pts)
-		dec := chains.DecomposeMatrix(pts, m)
+		cover := chains.DecomposeMatrix(pts, m).Chains
+		contending := contendingPoints(ws, cover)
 
-		ci := buildChainIndex(ws, dec.Chains)
-		contending := contendingPoints(ws, &ci)
-
-		scalar := sparseInfinityEdges(ws, &ci, contending)
-		kernel := sparseInfinityEdgesMatrix(m, dec, contending)
-
-		sortEdges := func(e []sparseEdge) {
-			sort.Slice(e, func(a, b int) bool {
-				if e[a].from != e[b].from {
-					return e[a].from < e[b].from
-				}
-				return e[a].to < e[b].to
-			})
+		scalar := flatten(sparseInfinityEdges(cover, contending, func(i, j int) bool {
+			return geom.Dominates(pts[i], pts[j])
+		}))
+		kernel := flatten(sparseInfinityEdges(cover, contending, m.Dominates))
+		if !slices.Equal(scalar, kernel) {
+			t.Fatalf("trial %d (n=%d d=%d): scalar edges %v != kernel edges %v", trial, n, d, scalar, kernel)
 		}
-		sortEdges(scalar)
-		sortEdges(kernel)
-		if len(scalar) != len(kernel) {
-			t.Fatalf("trial %d (n=%d d=%d): %d scalar edges != %d kernel edges", trial, n, d, len(scalar), len(kernel))
-		}
-		for k := range scalar {
-			if scalar[k] != kernel[k] {
-				t.Fatalf("trial %d: edge %d: scalar %v != kernel %v", trial, k, scalar[k], kernel[k])
-			}
-		}
-		// The kernel contending scan must agree with the chain-index scan.
 		kc := m.ViolationParties(labels)
-		for i := range contending {
-			if kc[i] != contending[i] {
-				t.Fatalf("trial %d: contending[%d] kernel=%v scalar=%v", trial, i, kc[i], contending[i])
-			}
+		if !slices.Equal(kc, contending) {
+			t.Fatalf("trial %d: kernel contending %v != chain-end scan %v", trial, kc, contending)
 		}
 	}
 }

@@ -121,11 +121,16 @@ func buildGraph(ws geom.WeightedSet, opts Options) (builtGraph, error) {
 	// label-1 point, or a label-1 point dominated by some label-0
 	// point. The dense path is the paper's literal O(dn²) scan; the
 	// kernel paths read it off the matrix, and the chain path tests
-	// each point against at most w chain ends (see sparse.go).
+	// each point against at most w chain ends (see sparse.go). Every
+	// non-dense path also fixes the chain cover and the dominance
+	// predicate the ∞-edge builder runs on.
 	var contending []bool
-	var ci chainIndex
-	var km *domgraph.Matrix       // non-nil on the kernel path
-	var kdec chains.Decomposition // its chain decomposition
+	var cover [][]int
+	var dominates func(i, j int) bool
+	pts := make([]geom.Point, n)
+	for i := range ws {
+		pts[i] = ws[i].P
+	}
 	switch {
 	case opts.Dense:
 		contending = make([]bool, n)
@@ -143,52 +148,44 @@ func buildGraph(ws geom.WeightedSet, opts Options) (builtGraph, error) {
 				}
 			}
 		}
-	case opts.Matrix != nil:
-		// Caller-supplied relation: same kernel path as below, minus
-		// the Build. Used by problem.Adopt (and historically by the
-		// online updater directly), whose dynamically patched matrix
-		// equals Build over the live points.
-		if opts.Matrix.N() != n {
-			return builtGraph{}, fmt.Errorf("passive: supplied matrix covers %d points, want %d", opts.Matrix.N(), n)
+	case opts.Matrix != nil || (opts.Chains == nil && ws.Dim() >= 3):
+		// Kernel path. At d ≥ 3 the generic decomposition needs the
+		// O(dn²) dominance relation anyway, so it is built once as a
+		// bit-packed matrix and reused for the chain decomposition, the
+		// contending scan (word-level, O(n²/64)) and the ∞-edge
+		// builder. A caller-supplied matrix (problem.Adopt, whose
+		// matrix equals Build over the points) takes the same path at
+		// any dimension. Dimensions 1 and 2 otherwise keep the
+		// O(n log n) chain fast paths below, which never materialize
+		// the relation at all.
+		km := opts.Matrix
+		if km == nil {
+			km = domgraph.Build(pts)
+		} else if km.N() != n {
+			return builtGraph{}, fmt.Errorf("passive: supplied matrix covers %d points, want %d", km.N(), n)
 		}
-		pts := make([]geom.Point, n)
-		labels := make([]geom.Label, n)
-		for i := range ws {
-			pts[i] = ws[i].P
-			labels[i] = ws[i].Label
-		}
-		km = opts.Matrix
 		if opts.Chains != nil {
 			// Adopt the caller's decomposition (problem.Prepare hands
 			// back the one it derived from this very matrix) instead of
-			// repeating the O(n^2.5) matching.
-			if err := chains.ValidateDecomposition(pts, opts.Chains); err != nil {
-				panic(fmt.Sprintf("passive: supplied decomposition invalid: %v", err))
-			}
-			kdec = chains.Decomposition{Chains: opts.Chains, Width: len(opts.Chains)}
+			// repeating the matching.
+			cover = validCover(pts, opts.Chains)
 		} else {
-			kdec = chains.DecomposeMatrix(pts, km)
+			cover = chains.DecomposeMatrix(pts, km).Chains
 		}
-		contending = km.ViolationParties(labels)
-	case opts.Chains == nil && ws.Dim() >= 3:
-		// Kernel path: the generic decomposition needs the O(dn²)
-		// dominance relation anyway, so build it once as a bit-packed
-		// matrix and reuse it for the chain decomposition, the
-		// contending scan (word-level, O(n²/64)), and the ∞-edge
-		// builder. Dimensions 1 and 2 keep the O(n log n) chain fast
-		// paths below, which never materialize the relation at all.
-		pts := make([]geom.Point, n)
 		labels := make([]geom.Label, n)
 		for i := range ws {
-			pts[i] = ws[i].P
 			labels[i] = ws[i].Label
 		}
-		km = domgraph.Build(pts)
-		kdec = chains.DecomposeMatrix(pts, km)
 		contending = km.ViolationParties(labels)
+		dominates = km.Dominates
 	default:
-		ci = buildChainIndex(ws, opts.Chains)
-		contending = contendingPoints(ws, &ci)
+		if opts.Chains != nil {
+			cover = validCover(pts, opts.Chains)
+		} else {
+			cover = chains.Decompose(pts).Chains
+		}
+		contending = contendingPoints(ws, cover)
+		dominates = func(i, j int) bool { return geom.Dominates(pts[i], pts[j]) }
 	}
 
 	// Vertex numbering: 0 = source, 1 = sink, contending points at 2+.
@@ -207,8 +204,19 @@ func buildGraph(ws geom.WeightedSet, opts Options) (builtGraph, error) {
 		return builtGraph{contending: contending}, nil
 	}
 
+	var blocks [][]sparseEdge
+	numEdges := numContending
+	if !opts.Dense {
+		// Sparsified reachability network (see sparse.go); its size is
+		// known before the first AddEdge.
+		blocks = sparseInfinityEdges(cover, contending, dominates)
+		for _, b := range blocks {
+			numEdges += len(b)
+		}
+	}
 	const source, sink = 0, 1
 	g := maxflow.New(nextV, source, sink)
+	g.Grow(numEdges)
 	owner := make([]int32, 0, numContending)
 	for i := range ws {
 		if !contending[i] {
@@ -237,18 +245,22 @@ func buildGraph(ws geom.WeightedSet, opts Options) (builtGraph, error) {
 				}
 			}
 		}
-	} else if km != nil {
-		// Sparsified reachability network on the kernel matrix.
-		for _, e := range sparseInfinityEdgesMatrix(km, kdec, contending) {
-			g.AddEdge(vertex[e.from], vertex[e.to], math.Inf(1))
-		}
-	} else {
-		// Sparsified reachability network (see sparse.go).
-		for _, e := range sparseInfinityEdges(ws, &ci, contending) {
+	}
+	for _, b := range blocks {
+		for _, e := range b {
 			g.AddEdge(vertex[e.from], vertex[e.to], math.Inf(1))
 		}
 	}
 	return builtGraph{contending: contending, numContending: numContending, g: g, owner: owner}, nil
+}
+
+// validCover returns a caller-supplied chain decomposition of pts
+// after checking it; an invalid one is a caller bug.
+func validCover(pts []geom.Point, cover [][]int) [][]int {
+	if err := chains.ValidateDecomposition(pts, cover); err != nil {
+		panic(fmt.Sprintf("passive: supplied decomposition invalid: %v", err))
+	}
+	return cover
 }
 
 // BuildNetwork constructs the Section 5.1 flow network of ws without
