@@ -154,9 +154,11 @@ bench-e2e-test:
 
 # CI quick gate: one warm-started exact-decomposition prepare (dense,
 # d=3) under the race detector, asserting the solve matches the legacy
-# passive path.
+# passive path, plus racing first uses of a deferred decomposition
+# (direct, and through the online updater's adopted Problem).
 ci-smoke:
-	$(GO) test -race -run TestPrepareWarmStartSmoke -count=1 -v ./internal/problem
+	$(GO) test -race -run 'TestPrepareWarmStartSmoke|TestLazyDecompositionConcurrentFirstUse' -count=1 -v ./internal/problem
+	$(GO) test -race -run TestProblemDecompositionSurvivesDeltas -count=1 -v ./internal/online
 
 # Coverage-guided fuzz of the online updater's byte-decoded delta
 # traces: no panics, contract-only rejections, retrain equivalence.

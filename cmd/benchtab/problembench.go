@@ -36,7 +36,11 @@ type problemRow struct {
 	PeakHeapBytes  uint64  `json:"peak_heap_bytes"`
 	RetainedBytes  uint64  `json:"retained_bytes"`
 	// Per-stage prepare timings and warm-start counters, straight from
-	// problem.PrepareStats.
+	// problem.PrepareStats, read after Width. Deferred marks a dense
+	// row whose decomposition ran on that first Width call, after
+	// prepare and the solves were timed: its DecomposeNs is not part of
+	// PrepareNs.
+	Deferred      bool   `json:"decompose_deferred,omitempty"`
 	DecomposePath string `json:"decompose_path"`
 	MatrixNs      int64  `json:"matrix_ns"`
 	DecomposeNs   int64  `json:"decompose_ns"`
@@ -70,11 +74,27 @@ type problemReport struct {
 // contending scan — grow with n. That isolates exactly what the sweep
 // is measuring.
 func problemWorkload(rng *rand.Rand, n, d, w int) geom.WeightedSet {
-	const span, theta = 64.0, 32.0
+	const span = 64.0
 	half := span * 1024.0 / float64(n) // band of ~2048 expected points
 	if half > span/4 {
 		half = span / 4
 	}
+	return bandWorkload(rng, n, d, w, half, func() bool { return rng.Intn(2) == 0 })
+}
+
+// bandNoisy is the band poset of problemWorkload with 5% label flips
+// spread over the whole span instead of a narrow band: nearly every
+// point contends while the width stays ≤ w, the low-width,
+// large-contending-count corner where the chain-transition network is
+// O(m·w) and the cover network's m×m closure is the larger build.
+func bandNoisy(rng *rand.Rand, n, d, w int) geom.WeightedSet {
+	return bandWorkload(rng, n, d, w, 64, func() bool { return rng.Float64() < 0.05 })
+}
+
+// bandWorkload draws problemWorkload's chains and threshold labels,
+// flipping a label within half of the threshold when flip says so.
+func bandWorkload(rng *rand.Rand, n, d, w int, half float64, flip func() bool) geom.WeightedSet {
+	const span, theta = 64.0, 32.0
 	ws := make(geom.WeightedSet, n)
 	for i := range ws {
 		t := rng.Float64() * span
@@ -91,7 +111,7 @@ func problemWorkload(rng *rand.Rand, n, d, w int) geom.WeightedSet {
 		if t > theta {
 			label = geom.Positive
 		}
-		if t > theta-half && t < theta+half && rng.Intn(2) == 0 {
+		if t > theta-half && t < theta+half && flip() {
 			label = 1 - label
 		}
 		ws[i] = geom.WeightedPoint{P: p, Label: label, Weight: float64(1 + rng.Intn(4))}
@@ -156,30 +176,36 @@ func heapBaseline() uint64 {
 // mode) and matrix modes, writing the JSON report to path.
 func runProblemBench(path string, seed int64, quick bool) error {
 	type spec struct {
-		n, d    int
-		mode    problem.MatrixMode
-		planted bool // plantedNoisy instead of the band workload
+		n, d int
+		mode problem.MatrixMode
+		gen  string // "planted" (plantedNoisy), "bandnoisy" (bandNoisy) or "" (the band workload)
 	}
 	// The planted row is the one shape where matching, network and
 	// flow all do real work; both modes keep it so profile-prepare
-	// sees it.
-	noisy := spec{16384, 3, problem.ModeDense, true}
+	// sees it. The band-noisy rows pair it with the same n at width
+	// ≤16 and nearly every point contending, dense and on a transient
+	// matrix.
+	noisy := spec{16384, 3, problem.ModeDense, "planted"}
+	bandDense := spec{16384, 3, problem.ModeDense, "bandnoisy"}
 	specs := []spec{
-		{4096, 3, problem.ModeAuto, false},        // auto → dense
-		{16384, 3, problem.ModeDense, false},      // dense, 67 MB matrix; warm-start acceptance row
-		noisy,                                     // dense, width ≈1.2k, ≈15k contending
-		{65536, 2, problem.ModeImplicit, false},   // acceptance row for re-solve speedup
-		{65536, 3, problem.ModeDense, false},      // dense at the raised exact limit (1 GiB matrix)
-		{65536, 3, problem.ModeBlocked, false},    // blocked, exact via transient materialization
-		{262144, 3, problem.ModeBlocked, false},   // past the exact limit: greedy fallback
-		{1 << 20, 2, problem.ModeImplicit, false}, // the 10⁶ row the dense wall forbids
+		{4096, 3, problem.ModeAuto, ""},   // auto → dense
+		{16384, 3, problem.ModeDense, ""}, // dense, 67 MB matrix; warm-start acceptance row
+		noisy,                             // dense, width ≈1.2k, ≈15k contending
+		bandDense,                         // dense, width ≤16, ≈16k contending
+		{16384, 3, problem.ModeBlocked, "bandnoisy"}, // the same on a transient matrix
+		{65536, 2, problem.ModeImplicit, ""},         // acceptance row for re-solve speedup
+		{65536, 3, problem.ModeDense, ""},            // dense at the raised exact limit (1 GiB matrix)
+		{65536, 3, problem.ModeBlocked, ""},          // blocked, exact via transient materialization
+		{262144, 3, problem.ModeBlocked, ""},         // past the exact limit: greedy fallback
+		{1 << 20, 2, problem.ModeImplicit, ""},       // the 10⁶ row the dense wall forbids
 	}
 	if quick {
 		specs = []spec{
-			{2048, 3, problem.ModeAuto, false},
-			{8192, 3, problem.ModeBlocked, false},
-			{16384, 2, problem.ModeImplicit, false},
+			{2048, 3, problem.ModeAuto, ""},
+			{8192, 3, problem.ModeBlocked, ""},
+			{16384, 2, problem.ModeImplicit, ""},
 			noisy,
+			bandDense,
 		}
 	}
 
@@ -197,9 +223,12 @@ func runProblemBench(path string, seed int64, quick bool) error {
 		rng := rand.New(rand.NewSource(seed))
 		var ws geom.WeightedSet
 		workload := ""
-		if s.planted {
+		switch s.gen {
+		case "planted":
 			ws, workload = plantedNoisy(rng, s.n, s.d), "_planted"
-		} else {
+		case "bandnoisy":
+			ws, workload = bandNoisy(rng, s.n, s.d, width), "_bandnoisy"
+		default:
 			ws = problemWorkload(rng, s.n, s.d, width)
 		}
 		opts := problem.Options{Mode: s.mode}
@@ -247,13 +276,15 @@ func runProblemBench(path string, seed int64, quick bool) error {
 		}
 
 		fromRaw := prepareNs + solveNs
+		deferred := p.Stats().DecomposePath == problem.PathDeferred
+		width := p.Width() // a dense problem decomposes here, untimed above
 		pst := p.Stats()
 		row := problemRow{
 			Name:           fmt.Sprintf("Problem/n%d_d%d_%s%s", s.n, s.d, p.Mode(), workload),
 			N:              s.n,
 			Dim:            s.d,
 			Mode:           p.Mode().String(),
-			Width:          p.Width(),
+			Width:          width,
 			ExactWidth:     p.ExactWidth(),
 			Contending:     p.NumContending(),
 			PrepareNs:      prepareNs,
@@ -263,6 +294,7 @@ func runProblemBench(path string, seed int64, quick bool) error {
 			ResolveSpeedup: fromRaw / resolveNs,
 			PeakHeapBytes:  peak,
 			RetainedBytes:  retained,
+			Deferred:       deferred,
 			DecomposePath:  pst.DecomposePath,
 			MatrixNs:       pst.MatrixNS,
 			DecomposeNs:    pst.DecomposeNS,
@@ -273,11 +305,15 @@ func runProblemBench(path string, seed int64, quick bool) error {
 			CertEarlyExit:  pst.CertEarlyExit,
 		}
 		report.Rows = append(report.Rows, row)
-		fmt.Printf("%-34s prepare %10s (matrix %9s decomp %9s net %9s)  solve %10s  re-solve %9s  (%.0fx)  peak %7.1f MB  width %d  %s  aug %d\n",
+		onDemand := ""
+		if deferred {
+			onDemand = "*"
+		}
+		fmt.Printf("%-34s prepare %10s (matrix %9s decomp %9s%1s net %9s)  solve %10s  re-solve %9s  (%.0fx)  peak %7.1f MB  width %d  %s  aug %d\n",
 			row.Name,
 			time.Duration(prepareNs).Round(time.Microsecond),
 			time.Duration(pst.MatrixNS).Round(time.Microsecond),
-			time.Duration(pst.DecomposeNS).Round(time.Microsecond),
+			time.Duration(pst.DecomposeNS).Round(time.Microsecond), onDemand,
 			time.Duration(pst.NetworkNS).Round(time.Microsecond),
 			time.Duration(solveNs).Round(time.Microsecond),
 			time.Duration(resolveNs).Round(time.Microsecond),
@@ -285,6 +321,8 @@ func runProblemBench(path string, seed int64, quick bool) error {
 			float64(peak)/(1<<20),
 			row.Width, row.DecomposePath, row.Augmentations)
 	}
+
+	fmt.Println("* decomposition deferred: run on the first Width call, outside prepare")
 
 	// The dense wall itself: explicit dense mode at 10⁶ points must be
 	// refused by the footprint guard (≈2 n²/64 words ≫ the 2 GiB cap),

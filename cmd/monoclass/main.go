@@ -194,19 +194,22 @@ func runPrepare(args []string) error {
 	if err := monoclass.SaveProblem(f, p); err != nil {
 		return err
 	}
+	// Width computes a dense problem's deferred decomposition (SaveProblem
+	// already has), so Stats below reports the path and its timing.
+	width, exact := p.Width(), p.ExactWidth()
 	st := p.Stats()
 	fmt.Printf("points:      %d (dim %d)\n", p.N(), p.Dim())
 	fmt.Printf("matrix mode: %s\n", p.Mode())
-	fmt.Printf("width:       %d (exact: %v)\n", p.Width(), p.ExactWidth())
+	fmt.Printf("width:       %d (exact: %v)\n", width, exact)
 	fmt.Printf("decompose:   %s (seed %d chains, %d augmentations, %d phases)\n",
 		st.DecomposePath, st.SeedChains, st.Augmentations, st.Phases)
 	fmt.Printf("stages:      matrix %s, decompose %s, network %s\n",
 		time.Duration(st.MatrixNS).Round(time.Millisecond),
 		time.Duration(st.DecomposeNS).Round(time.Millisecond),
 		time.Duration(st.NetworkNS).Round(time.Millisecond))
-	if !p.ExactWidth() {
+	if !exact {
 		fmt.Printf("warning:     exact decomposition skipped; width %d is an upper bound "+
-			"(raise -exact-decompose-limit or memory guard to force exact)\n", p.Width())
+			"(raise -exact-decompose-limit or memory guard to force exact)\n", width)
 	}
 	fmt.Printf("prepare:     %s\n", time.Since(start).Round(time.Millisecond))
 	fmt.Printf("problem saved to %s\n", *out)

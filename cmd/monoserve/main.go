@@ -142,6 +142,9 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
+		// Width computes a dense problem's deferred decomposition, so
+		// the stats served below carry the width and its path.
+		p.Width()
 		st := p.Stats()
 		prepStats = &st
 		h = sol.Classifier

@@ -117,8 +117,20 @@ func newMatrix(n int) *Matrix {
 const rowsPerBlock = 256
 
 func build(pts []geom.Point, workers int) *Matrix {
+	m := buildClosure(pts, workers)
+	m.dag = make([]uint64, len(m.dom))
+	if m.n > 0 {
+		m.fillDAG(pts, max(workers, 1))
+	}
+	return m
+}
+
+// buildClosure fills only the ⪰ rows; the DAG rows stay nil, so the
+// result serves DomRow and Dominates but no DAG reader.
+func buildClosure(pts []geom.Point, workers int) *Matrix {
 	n := len(pts)
-	m := newMatrix(n)
+	m := &Matrix{n: n, words: (n + 63) / 64}
+	m.dom = make([]uint64, n*m.words)
 	if n == 0 {
 		return m
 	}
@@ -137,7 +149,6 @@ func build(pts []geom.Point, workers int) *Matrix {
 	} else {
 		m.fillClosure(pts, workers)
 	}
-	m.fillDAG(pts, workers)
 	return m
 }
 

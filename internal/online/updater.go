@@ -321,6 +321,8 @@ func (u *Updater) applyLocked(d Delta) error {
 		u.dyn.Delete(slot)
 		u.stats.deletes++
 	}
+	// The adopted Problem shares the matrix this delta just changed.
+	u.prob = nil
 	u.drift += w
 	u.since++
 
@@ -474,13 +476,21 @@ func (u *Updater) publishLocked() {
 func (u *Updater) Dim() int { return u.dim }
 
 // Problem returns the prepared Problem adopted at the last exact
-// solve, or nil before the first non-empty solve. It shares storage
-// with the updater's live matrix, so it is a snapshot valid only until
-// the next applied delta — use it immediately (serving gates do) and
-// do not retain it across mutations.
+// solve, or nil before the first non-empty solve and whenever a delta
+// has been applied since. It shares storage with the updater's live
+// matrix, so its matrix, view and audits are valid only until the next
+// applied delta — use it immediately (serving gates do) and do not
+// retain it across mutations. Its decomposition, which an adopted
+// Problem computes from the matrix on first use, is computed here
+// under the updater's lock, so Width, ExactWidth, Decomposition and
+// Solve stay valid after later deltas; Write, which copies the matrix,
+// does not.
 func (u *Updater) Problem() *problem.Problem {
 	u.mu.Lock()
 	defer u.mu.Unlock()
+	if u.prob != nil {
+		u.prob.Width()
+	}
 	return u.prob
 }
 

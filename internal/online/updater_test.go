@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"monoclass/internal/chains"
 	"monoclass/internal/classifier"
 	"monoclass/internal/domgraph"
 	"monoclass/internal/geom"
@@ -330,5 +331,79 @@ func TestNewUpdaterRejectsBadInitial(t *testing.T) {
 	bad := geom.WeightedSet{{P: geom.Point{math.NaN(), 1}, Label: geom.Positive, Weight: 1}}
 	if _, err := NewUpdater(2, bad, Config{}); err == nil {
 		t.Error("NaN initial point accepted")
+	}
+}
+
+// TestProblemDecompositionSurvivesDeltas: an adopted Problem computes
+// its decomposition from the shared live matrix on first use, so
+// Updater.Problem computes it under the updater's lock. Width,
+// Decomposition and Solve on the returned Problem, raced against
+// deltas that mutate the matrix before any of them runs, must keep the
+// pre-delta answers, and Problem must return nil until the next exact
+// solve. make ci-smoke runs it under -race.
+func TestProblemDecompositionSurvivesDeltas(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const dim = 3
+	initial := make(geom.WeightedSet, 120)
+	for i := range initial {
+		pt := make(geom.Point, dim)
+		for k := range pt {
+			pt[k] = float64(rng.Intn(6))
+		}
+		initial[i] = geom.WeightedPoint{P: pt, Label: geom.Label(rng.Intn(2)), Weight: float64(1 + rng.Intn(4))}
+	}
+	u, err := NewUpdater(dim, initial, Config{RebuildEvery: 1 << 20, DisableInterim: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := problem.Prepare(initial, problem.Options{Mode: problem.ModeDense})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSol, err := want.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := u.Problem()
+	if p == nil {
+		t.Fatal("no Problem after the initial exact solve")
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rng := rand.New(rand.NewSource(43))
+		for i := 0; i < 40; i++ {
+			pt := geom.Point{rng.Float64() * 6, rng.Float64() * 6, rng.Float64() * 6}
+			if err := u.Apply(Delta{Op: OpInsert, Point: pt, Label: geom.Label(i % 2), Weight: 1}); err != nil {
+				t.Errorf("insert: %v", err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < 20; r++ {
+		if w := p.Width(); w != want.Width() {
+			t.Fatalf("round %d: width %d, want %d", r, w, want.Width())
+		}
+		if err := chains.ValidateDecomposition(p.Points(), p.Decomposition().Chains); err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+		sol, err := p.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !almostEq(sol.WErr, wantSol.WErr) {
+			t.Fatalf("round %d: WErr %v, want %v", r, sol.WErr, wantSol.WErr)
+		}
+	}
+	<-done
+	if q := u.Problem(); q != nil {
+		t.Fatalf("Problem returned a stale adoption after 40 deltas")
+	}
+	if err := u.Resolve(); err != nil {
+		t.Fatal(err)
+	}
+	if u.Problem() == nil {
+		t.Fatal("no Problem after an exact re-solve")
 	}
 }

@@ -64,8 +64,8 @@ func TestKernelSolveMatchesDense(t *testing.T) {
 }
 
 // flatten concatenates the ∞-edge blocks into the edge sequence.
-func flatten(blocks [][]sparseEdge) []sparseEdge {
-	var out []sparseEdge
+func flatten(blocks [][]domgraph.Edge) []domgraph.Edge {
+	var out []domgraph.Edge
 	for _, b := range blocks {
 		out = append(out, b...)
 	}

@@ -40,26 +40,28 @@ type Options struct {
 	Solver FlowSolver
 	// Dense forces the literal Section 5.1 construction with one
 	// ∞ edge per dominating pair (Θ(n²) edges worst case). The
-	// default sparse construction (see sparse.go) is exactly
-	// equivalent but uses O(n·w) edges; Dense exists for tests and
-	// the E9 ablation.
+	// default constructions (the cover relation of the contending
+	// points on the kernel path at d ≥ 3, the chain-transition edges
+	// of sparse.go otherwise) are exactly equivalent with far fewer
+	// edges; Dense exists for tests and the E9 ablation.
 	Dense bool
 	// Chains optionally supplies a precomputed chain decomposition of
 	// the input points (index slices in ascending dominance order,
-	// jointly partitioning the input) for the sparse construction,
-	// saving the O(dn²)–O(n log n) decomposition when the caller
-	// already has one. Ignored when Dense is set. The decomposition
-	// need not be minimum — any valid one works; a wider one only
-	// costs edges.
+	// jointly partitioning the input). The network's ∞ edges are then
+	// the chain-transition edges over it (sparse.go), O(m·w) of them,
+	// and the d ≤ 2 contending scan skips its own O(n log n)
+	// decomposition. Ignored when Dense is set. The decomposition need
+	// not be minimum — any valid one works; a wider one only costs
+	// edges.
 	Chains [][]int
 	// Matrix optionally supplies the precomputed dominance matrix of
 	// the input points (domgraph.Build over ws's points, in input
 	// order), skipping the O(dn²) relation build. When set it drives
-	// the kernel path at every dimension, so two Solve calls over the
-	// same multiset with the same Matrix construct bit-identical
-	// networks. When Chains is also set, the supplied decomposition is
-	// adopted instead of re-deriving one from the matrix. Ignored when
-	// Dense is set; Matrix.N() must equal len(ws).
+	// the kernel contending scan at every dimension, and at d ≥ 3,
+	// unless Chains is also set, the ∞ edges are the cover relation of
+	// the contending points (domgraph.CoverEdges); at d ≤ 2 they follow
+	// the O(n log n) decomposition. Ignored when Dense is set;
+	// Matrix.N() must equal len(ws).
 	//
 	// Deprecated: build a problem.Problem (internal/problem) with
 	// problem.Prepare or problem.Adopt instead — it owns the matrix
@@ -120,13 +122,12 @@ func buildGraph(ws geom.WeightedSet, opts Options) (builtGraph, error) {
 	// Contending points (Section 5.1): a label-0 point dominating some
 	// label-1 point, or a label-1 point dominated by some label-0
 	// point. The dense path is the paper's literal O(dn²) scan; the
-	// kernel paths read it off the matrix, and the chain path tests
-	// each point against at most w chain ends (see sparse.go). Every
-	// non-dense path also fixes the chain cover and the dominance
-	// predicate the ∞-edge builder runs on.
+	// kernel path reads it off the matrix, and the chain path tests
+	// each point against at most w chain ends (see sparse.go). The
+	// mask is the same set on every path.
 	var contending []bool
-	var cover [][]int
-	var dominates func(i, j int) bool
+	var km *domgraph.Matrix // kernel path only
+	var cover [][]int       // chain cover for the chain-transition edges
 	pts := make([]geom.Point, n)
 	for i := range ws {
 		pts[i] = ws[i].P
@@ -149,35 +150,30 @@ func buildGraph(ws geom.WeightedSet, opts Options) (builtGraph, error) {
 			}
 		}
 	case opts.Matrix != nil || (opts.Chains == nil && ws.Dim() >= 3):
-		// Kernel path. At d ≥ 3 the generic decomposition needs the
-		// O(dn²) dominance relation anyway, so it is built once as a
-		// bit-packed matrix and reused for the chain decomposition, the
-		// contending scan (word-level, O(n²/64)) and the ∞-edge
-		// builder. A caller-supplied matrix (problem.Adopt, whose
-		// matrix equals Build over the points) takes the same path at
-		// any dimension. Dimensions 1 and 2 otherwise keep the
-		// O(n log n) chain fast paths below, which never materialize
-		// the relation at all.
-		km := opts.Matrix
+		// Kernel path. At d ≥ 3 no O(n log n) decomposition exists, so
+		// the relation is built once as a bit-packed matrix and the
+		// contending scan runs word-level, O(n²/64). A caller-supplied
+		// matrix (problem.Adopt, whose matrix equals Build over the
+		// points) takes the same path at any dimension. Dimensions 1
+		// and 2 otherwise keep the O(n log n) chain path below, which
+		// never materializes the relation at all.
+		km = opts.Matrix
 		if km == nil {
 			km = domgraph.Build(pts)
 		} else if km.N() != n {
 			return builtGraph{}, fmt.Errorf("passive: supplied matrix covers %d points, want %d", km.N(), n)
 		}
-		if opts.Chains != nil {
-			// Adopt the caller's decomposition (problem.Prepare hands
-			// back the one it derived from this very matrix) instead of
-			// repeating the matching.
+		switch {
+		case opts.Chains != nil:
 			cover = validCover(pts, opts.Chains)
-		} else {
-			cover = chains.DecomposeMatrix(pts, km).Chains
+		case ws.Dim() <= 2:
+			cover = chains.Decompose(pts).Chains
 		}
 		labels := make([]geom.Label, n)
 		for i := range ws {
 			labels[i] = ws[i].Label
 		}
 		contending = km.ViolationParties(labels)
-		dominates = km.Dominates
 	default:
 		if opts.Chains != nil {
 			cover = validCover(pts, opts.Chains)
@@ -185,37 +181,65 @@ func buildGraph(ws geom.WeightedSet, opts Options) (builtGraph, error) {
 			cover = chains.Decompose(pts).Chains
 		}
 		contending = contendingPoints(ws, cover)
-		dominates = func(i, j int) bool { return geom.Dominates(pts[i], pts[j]) }
 	}
 
 	// Vertex numbering: 0 = source, 1 = sink, contending points at 2+.
 	vertex := make([]int, n)
-	nextV := 2
+	var sub []geom.Point // contending points, in input order
 	for i := range ws {
 		if contending[i] {
-			vertex[i] = nextV
-			nextV++
+			vertex[i] = 2 + len(sub)
+			sub = append(sub, pts[i])
 		} else {
 			vertex[i] = -1
 		}
 	}
-	numContending := nextV - 2
+	numContending := len(sub)
 	if numContending == 0 {
 		return builtGraph{contending: contending}, nil
 	}
 
-	var blocks [][]sparseEdge
+	// ∞ edges between vertex ids; their count is known before the
+	// first AddEdge.
+	var blocks [][]domgraph.Edge
 	numEdges := numContending
-	if !opts.Dense {
-		// Sparsified reachability network (see sparse.go); its size is
-		// known before the first AddEdge.
+	switch {
+	case opts.Dense:
+		// The literal pair edges are added below.
+	case cover == nil:
+		// Kernel path at d ≥ 3 without a decomposition: the cover
+		// relation of the contending points, whose reachability is
+		// exactly ⪰ with the fewest edges that give it. Its m×m sorted
+		// closure takes m²/8 bytes, at most half of the n×n matrix this
+		// path already holds. The kernel numbers the points of sub,
+		// whose vertex ids are 2 + that index.
+		blocks = domgraph.CoverEdges(sub)
+		for _, b := range blocks {
+			for k := range b {
+				b[k].From += 2
+				b[k].To += 2
+			}
+		}
+	default:
+		// Chain-transition edges over the cover (see sparse.go):
+		// O(m·w) work and memory, no quadratic closure.
+		dominates := func(i, j int) bool { return geom.Dominates(pts[i], pts[j]) }
+		if km != nil {
+			dominates = km.Dominates
+		}
 		blocks = sparseInfinityEdges(cover, contending, dominates)
 		for _, b := range blocks {
-			numEdges += len(b)
+			for k := range b {
+				b[k].From = int32(vertex[b[k].From])
+				b[k].To = int32(vertex[b[k].To])
+			}
 		}
 	}
+	for _, b := range blocks {
+		numEdges += len(b)
+	}
 	const source, sink = 0, 1
-	g := maxflow.New(nextV, source, sink)
+	g := maxflow.New(2+numContending, source, sink)
 	g.Grow(numEdges)
 	owner := make([]int32, 0, numContending)
 	for i := range ws {
@@ -248,7 +272,7 @@ func buildGraph(ws geom.WeightedSet, opts Options) (builtGraph, error) {
 	}
 	for _, b := range blocks {
 		for _, e := range b {
-			g.AddEdge(vertex[e.from], vertex[e.to], math.Inf(1))
+			g.AddEdge(int(e.From), int(e.To), math.Inf(1))
 		}
 	}
 	return builtGraph{contending: contending, numContending: numContending, g: g, owner: owner}, nil

@@ -4,14 +4,24 @@ import (
 	"runtime"
 	"sync"
 
+	"monoclass/internal/domgraph"
 	"monoclass/internal/geom"
 )
 
 // The flow network of Section 5.1 nominally contains one ∞-capacity
 // edge per dominating pair (p, q) ∈ P0^con × P1^con — Θ(n²) edges on
 // adversarial inputs, which dominates both memory and max-flow time.
-// This file builds an equivalent sparse network whose ∞ edges follow a
-// chain cover of the contending points:
+// buildGraph replaces them by one of two equivalent sparse networks.
+// On the kernel path at d ≥ 3 without a caller decomposition
+// (passive.Solve, and Problems that hold the n×n matrix: dense,
+// adopted, or transient for an exact decomposition) the ∞ edges are
+// the cover relation of the contending points (domgraph.CoverEdges),
+// whose m×m closure takes at most half the bytes of that matrix.
+// Everywhere else a chain cover is at hand — d ≤ 2, a supplied
+// Options.Chains, Problems past the exact-decomposition limit or the
+// dense-footprint guard — and this file's builder runs instead, in
+// O(m·w) time and memory with no quadratic closure: its ∞ edges follow
+// the chain cover of the contending points:
 //
 //   - consecutive links inside each chain (higher → lower, plus the
 //     reverse link between coordinate-equal neighbours);
@@ -45,7 +55,9 @@ import (
 // O(m·w + E·log(m/w)) tests for m contending points and E ≤ m·w edges.
 // The bound is loose in practice: on 5%-noise planted data at
 // n=16384, d=3 (w≈1.16k, m≈15k) the builder emits ≈2.7M edges where a
-// link per (point, dominated chain) gives ≈4.6M. The home chains are
+// link per (point, dominated chain) gives ≈4.6M; the cover relation of
+// the same points has ≈0.43M, but its closure costs O(m²) time and
+// m²/8 bytes where this builder needs O(m·w). The home chains are
 // split into GOMAXPROCS contiguous blocks built concurrently; the
 // blocks are read back in chain order, so the edge sequence does not
 // depend on the core count.
@@ -96,16 +108,13 @@ func contendingPoints(ws geom.WeightedSet, cover [][]int) []bool {
 	return out
 }
 
-// sparseEdge is one ∞ edge of the sparsified reachability network.
-type sparseEdge struct{ from, to int32 } // point indices
-
 // sparseInfinityEdges emits the ∞ edges connecting the contending
 // points so that reachability equals dominance restricted to the
 // contending set. cover is a valid chain decomposition of all points
 // (ascending chains), and dominates(i, j) reports point i ⪰ point j,
 // reflexive, so coordinate-equal points dominate each other. The
 // edges come back in blocks; their concatenation is the edge sequence.
-func sparseInfinityEdges(cover [][]int, contending []bool, dominates func(i, j int) bool) [][]sparseEdge {
+func sparseInfinityEdges(cover [][]int, contending []bool, dominates func(i, j int) bool) [][]domgraph.Edge {
 	// Restrict each chain to its contending members, preserving order;
 	// chains left empty take no part.
 	var restricted [][]int32
@@ -140,7 +149,7 @@ func sparseInfinityEdges(cover [][]int, contending []bool, dominates func(i, j i
 	if bounds[len(bounds)-1] != len(restricted) {
 		bounds = append(bounds, len(restricted))
 	}
-	blocks := make([][]sparseEdge, len(bounds)-1)
+	blocks := make([][]domgraph.Edge, len(bounds)-1)
 	var wg sync.WaitGroup
 	for b := range blocks {
 		wg.Add(1)
@@ -156,8 +165,8 @@ func sparseInfinityEdges(cover [][]int, contending []bool, dominates func(i, j i
 // chainTransitionEdges emits the ∞ edges of home chains [lo, hi) of
 // restricted: each chain's consecutive links and, member by member in
 // ascending order, the cross links where a dominated prefix grew.
-func chainTransitionEdges(restricted [][]int32, lo, hi int, dominates func(i, j int) bool) []sparseEdge {
-	var edges []sparseEdge
+func chainTransitionEdges(restricted [][]int32, lo, hi int, dominates func(i, j int) bool) []domgraph.Edge {
+	var edges []domgraph.Edge
 	pre := make([]int, len(restricted)) // dominated-prefix length per chain
 	for c := lo; c < hi; c++ {
 		clear(pre)
@@ -165,12 +174,12 @@ func chainTransitionEdges(restricted [][]int32, lo, hi int, dominates func(i, j 
 		for k, i := range home {
 			if k > 0 {
 				below := home[k-1]
-				edges = append(edges, sparseEdge{from: i, to: below})
+				edges = append(edges, domgraph.Edge{From: i, To: below})
 				// Coordinate-equal neighbours dominate each other, so
 				// they also get the reverse link; without it a label-0
 				// point could not reach its label-1 duplicate.
 				if dominates(int(below), int(i)) {
-					edges = append(edges, sparseEdge{from: below, to: i})
+					edges = append(edges, domgraph.Edge{From: below, To: i})
 				}
 			}
 			for oc, other := range restricted {
@@ -192,7 +201,7 @@ func chainTransitionEdges(restricted [][]int32, lo, hi int, dominates func(i, j 
 					}
 				}
 				pre[oc] = l
-				edges = append(edges, sparseEdge{from: i, to: other[l-1]})
+				edges = append(edges, domgraph.Edge{From: i, To: other[l-1]})
 			}
 		}
 	}

@@ -13,10 +13,10 @@ import (
 
 // reachability returns the reflexive transitive closure of edges over
 // n vertices.
-func reachability(n int, edges []sparseEdge) [][]bool {
+func reachability(n int, edges []domgraph.Edge) [][]bool {
 	adj := make([][]int, n)
 	for _, e := range edges {
-		adj[e.from] = append(adj[e.from], int(e.to))
+		adj[e.From] = append(adj[e.From], int(e.To))
 	}
 	reach := make([][]bool, n)
 	for s := range reach {
@@ -69,7 +69,7 @@ func TestSparseEdgesClosureEqualsDominance(t *testing.T) {
 		} {
 			edges := flatten(sparseInfinityEdges(cv.chains, contending, dominates))
 			for _, e := range edges {
-				if !contending[e.from] || !contending[e.to] {
+				if !contending[e.From] || !contending[e.To] {
 					t.Fatalf("trial %d %s: edge %v leaves the contending set", trial, cv.name, e)
 				}
 			}
@@ -116,9 +116,12 @@ func TestSparseEdgesIndependentOfGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestSparseSolveAssignmentMatchesDense: the sparse and the literal
-// networks have the same finite cuts, so on integer weights (exact
-// flow arithmetic) the minimal min cut, and with it the assignment, is
+// TestSparseSolveAssignmentMatchesDense: the default network (the
+// cover relation at d ≥ 3, chain transition at d ≤ 2), the cover
+// network at any d (Matrix alone), the chain-transition network (on
+// the chain path with exact and greedy covers and on the kernel path)
+// and the literal network have the same finite cuts, so on integer weights (exact flow
+// arithmetic) the minimal min cut, and with it the assignment, is
 // bit-identical.
 func TestSparseSolveAssignmentMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(521))
@@ -129,17 +132,33 @@ func TestSparseSolveAssignmentMatchesDense(t *testing.T) {
 		for i := range ws {
 			ws[i].Weight = float64(1 + rng.Intn(5))
 		}
-		sparse, err := Solve(ws, Options{})
-		if err != nil {
-			t.Fatalf("trial %d: sparse solve: %v", trial, err)
+		pts := make([]geom.Point, n)
+		for i := range ws {
+			pts[i] = ws[i].P
 		}
 		dense, err := Solve(ws, Options{Dense: true})
 		if err != nil {
 			t.Fatalf("trial %d: dense solve: %v", trial, err)
 		}
-		if sparse.WErr != dense.WErr || !slices.Equal(sparse.Assignment, dense.Assignment) {
-			t.Fatalf("trial %d (n=%d d=%d): sparse WErr %g %v, dense WErr %g %v",
-				trial, n, d, sparse.WErr, sparse.Assignment, dense.WErr, dense.Assignment)
+		exact := chains.Decompose(pts).Chains
+		for _, v := range []struct {
+			name string
+			opts Options
+		}{
+			{"default", Options{}},
+			{"cover", Options{Matrix: domgraph.Build(pts)}},
+			{"chain-transition exact", Options{Chains: exact}},
+			{"chain-transition greedy", Options{Chains: chains.GreedyDecompose(pts)}},
+			{"chain-transition kernel", Options{Matrix: domgraph.Build(pts), Chains: exact}},
+		} {
+			got, err := Solve(ws, v.opts)
+			if err != nil {
+				t.Fatalf("trial %d: %s solve: %v", trial, v.name, err)
+			}
+			if got.WErr != dense.WErr || !slices.Equal(got.Assignment, dense.Assignment) {
+				t.Fatalf("trial %d (n=%d d=%d): %s WErr %g %v, dense WErr %g %v",
+					trial, n, d, v.name, got.WErr, got.Assignment, dense.WErr, dense.Assignment)
+			}
 		}
 	}
 }

@@ -1,14 +1,23 @@
 // Package problem owns the prepared form of one monotone-classification
 // instance: the points, their dominance representation, a chain
-// decomposition, and the Section 5.1 flow network, built once by
-// Prepare and shared by every solver layer — passive solves, audits,
-// conformance differentials, the online updater, and serving gates all
-// accept a *Problem instead of re-deriving the same structure from raw
-// points.
+// decomposition, and the Section 5.1 flow network, built once and
+// shared by every solver layer — passive solves, audits, conformance
+// differentials, the online updater, and serving gates all accept a
+// *Problem instead of re-deriving the same structure from raw points.
 //
 // A Problem is immutable after Prepare: accessors never mutate it and
 // repeated Solve calls are deterministic (the one mutable piece, the
 // flow network's residual state, is reset under an internal mutex).
+// At d ≥ 3 a Problem that holds the n×n matrix — dense, or
+// materialized transiently for an exact decomposition — builds its
+// network from the matrix alone: the cover relation of the contending
+// points, whose m×m closure is at most half the matrix the footprint
+// guard admitted. A dense one therefore computes its decomposition on
+// first use, by Decomposition, Width, ExactWidth, Write or an audit,
+// once, and a train that only solves never pays for the matching.
+// Every other Problem (d ≤ 2, or past the exact-decomposition limits)
+// networks along its chains: passive's chain-transition edges, O(m·w)
+// with no quadratic memory.
 // The dominance representation is chosen by MatrixMode: dense keeps
 // the full bit-packed matrix (the classic O(n²/64)-word layout),
 // blocked materializes cache-sized row tiles on demand behind an LRU,
@@ -24,6 +33,7 @@ package problem
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"monoclass/internal/chains"
@@ -162,12 +172,18 @@ const (
 	// PathLoaded: decomposition restored verbatim from a serialized
 	// Problem (problem.Read); exactness is whatever the writer recorded.
 	PathLoaded = "loaded"
+	// PathDeferred: a dense Problem at d ≥ 3 whose decomposition has
+	// not been asked for yet (see Problem.Stats); the first use
+	// computes it and the path becomes exact-dense or adopted.
+	PathDeferred = "deferred"
 )
 
 // PrepareStats records how Prepare built a Problem and how long each
 // stage took; benchtab's problem table, monoclass prepare, and the
 // serve /stats endpoint all surface it. The zero TotalNS of a loaded
 // Problem distinguishes restored instances from freshly prepared ones.
+// While a dense Problem's decomposition is deferred, DecomposePath is
+// PathDeferred and Width through DecomposeNS are zero.
 type PrepareStats struct {
 	// N and Dim echo the instance shape.
 	N   int `json:"n"`
@@ -196,7 +212,9 @@ type PrepareStats struct {
 	// path is exact-transient), flow-network construction, and the
 	// whole Prepare call end to end. MatrixNS is zero when Prepare
 	// built no view (the d ≤ 2 fast path and the greedy fallback leave
-	// a blocked or implicit view to the first View call).
+	// a blocked or implicit view to the first View call). A
+	// decomposition computed on first use reports its own DecomposeNS,
+	// which is not part of TotalNS.
 	MatrixNS    int64 `json:"matrix_ns"`
 	DecomposeNS int64 `json:"decompose_ns"`
 	NetworkNS   int64 `json:"network_ns"`
@@ -225,9 +243,16 @@ type Problem struct {
 	viewOnce sync.Once
 	view     domgraph.View // non-dense view, built by the first View call
 
+	// The decomposition is set inside decOnce: by the constructor on
+	// the eager paths, by the first decomposition call on the deferred
+	// ones (decPath names which). decStats, the decomposition fields of
+	// Stats, is stored last, so Stats sees it without triggering it.
+	decOnce    sync.Once
+	decPath    string
 	dec        chains.Decomposition
 	exactWidth bool // dec is a minimum decomposition (width = dominance width)
-	stats      PrepareStats
+	decStats   atomic.Pointer[PrepareStats]
+	stats      PrepareStats // every other field of Stats
 
 	prep *passive.Prepared
 
@@ -238,9 +263,10 @@ type Problem struct {
 
 // Prepare validates ws, clones it, and builds the full prepared form:
 // the dominance representation picked by opts, a chain decomposition
-// (exact below the mode's limits, greedy above), and the passive flow
-// network. The input set must be non-empty, dimensionally consistent,
-// and carry positive finite weights.
+// (exact below the mode's limits, greedy above; deferred to first use
+// in dense mode at d ≥ 3), and the passive flow network. The input set
+// must be non-empty, dimensionally consistent, and carry positive
+// finite weights.
 //
 // The profiles are chosen so that Solve over the result is
 // bit-identical to passive.Solve(ws, passive.Options{}) whenever the
@@ -278,9 +304,9 @@ func Prepare(ws geom.WeightedSet, opts Options) (*Problem, error) {
 	}
 
 	p := &Problem{ws: owned, pts: pts, dim: d, mode: mode, blocked: o.Blocked}
-	// Only the dense decomposition and the exact-transient one read a
-	// view; every other path leaves it to the first View call.
-	transient := mode != ModeDense && d >= 3 && n <= o.ExactDecomposeLimit && denseFootprint(n) <= o.MaxDenseBytes
+	// Only the dense network and the exact-transient decomposition
+	// read a view; every other path leaves it to the first View call.
+	transient := exactTransient(o, mode, n, d)
 	var st PrepareStats
 	if mode == ModeDense || transient {
 		matrixStart := time.Now()
@@ -292,46 +318,49 @@ func Prepare(ws geom.WeightedSet, opts Options) (*Problem, error) {
 		st.MatrixNS = time.Since(matrixStart).Nanoseconds()
 	}
 
+	// The dense network reads only the matrix, so its decomposition
+	// waits for a caller that asks.
+	if mode == ModeDense && d >= 3 {
+		p.decPath = PathExactDense
+		return p.assemble(p.matrix, nil, st, start)
+	}
 	decStart := time.Now()
 	var dec chains.Decomposition
 	var dst chains.DecomposeStats
-	netMatrix := p.matrix
-	exact := true
+	var netMatrix *domgraph.Matrix
+	path, exact := "", true
 	switch {
 	case d <= 2:
 		// O(n log n) fast paths; never touch the matrix.
 		dec = chains.Decompose(pts)
-		st.DecomposePath = PathFast2D
-	case p.matrix != nil:
-		dec, dst = chains.DecomposeMatrixStats(pts, p.matrix)
-		st.DecomposePath = PathExactDense
+		path = PathFast2D
 	case transient:
 		// Materialize transiently for the exact warm-started cover; the
-		// matrix (== domgraph.Build's bits) is dropped right after the
-		// network build in assemble.
+		// matrix (== domgraph.Build's bits) also drives the network, as
+		// in dense mode, and is dropped after assemble.
 		netMatrix = p.View().Materialize()
 		dec, dst = chains.DecomposeMatrixStats(pts, netMatrix)
-		st.DecomposePath = PathExactTransient
+		path = PathExactTransient
 	default:
 		gc := chains.GreedyDecompose(pts)
 		dec = chains.Decomposition{Chains: gc, Width: len(gc)}
-		st.DecomposePath = PathGreedyFallback
+		path = PathGreedyFallback
 		exact = false
 	}
-	st.DecomposeNS = time.Since(decStart).Nanoseconds()
-	st.SeedChains, st.Augmentations = dst.SeedChains, dst.Augmentations
-	st.Phases, st.CertEarlyExit = dst.Phases, dst.CertEarlyExit
-	return p.assemble(netMatrix, dec, exact, st, start)
+	p.decOnce.Do(func() { p.setDecomposition(dec, dst, exact, path, time.Since(decStart)) })
+	return p.assemble(netMatrix, dec.Chains, st, start)
 }
 
 // Adopt wraps an already-built dense matrix (domgraph.Build over ws's
 // points, in input order — the online updater's dynamically patched
 // relation qualifies) into a Problem without cloning ws or rebuilding
-// anything: the decomposition comes from the matrix and the network
-// from the kernel path, exactly what passive.Solve(ws,
-// passive.Options{Matrix: m}) constructs. The caller must not mutate
-// ws or m afterwards.
+// anything: the network is exactly what passive.Solve(ws,
+// passive.Options{Matrix: m}) constructs. At d ≥ 3 that is the cover
+// network and the decomposition comes from the matrix on first use; at
+// d ≤ 2 the O(n log n) decomposition runs now and the network follows
+// its chains. The caller must not mutate ws or m afterwards.
 func Adopt(ws geom.WeightedSet, m *domgraph.Matrix) (*Problem, error) {
+	start := time.Now()
 	if len(ws) == 0 {
 		return nil, fmt.Errorf("problem: empty input set")
 	}
@@ -341,48 +370,73 @@ func Adopt(ws geom.WeightedSet, m *domgraph.Matrix) (*Problem, error) {
 	if m.N() != len(ws) {
 		return nil, fmt.Errorf("problem: matrix covers %d points, want %d", m.N(), len(ws))
 	}
-	pts := pointsOf(ws)
-	decStart := time.Now()
-	dec, dst := chains.DecomposeMatrixStats(pts, m)
-	st := PrepareStats{
-		DecomposePath: PathAdopted,
-		DecomposeNS:   time.Since(decStart).Nanoseconds(),
-		SeedChains:    dst.SeedChains,
-		Augmentations: dst.Augmentations,
-		Phases:        dst.Phases,
-		CertEarlyExit: dst.CertEarlyExit,
+	p := &Problem{ws: ws, pts: pointsOf(ws), dim: ws.Dim(), mode: ModeDense, matrix: m, decPath: PathAdopted}
+	if p.dim >= 3 {
+		return p.assemble(m, nil, PrepareStats{}, start)
 	}
-	p := &Problem{ws: ws, pts: pts, dim: ws.Dim(), mode: ModeDense, matrix: m}
-	return p.assemble(m, dec, true, st, decStart)
+	return p.assemble(nil, p.decomposition().Chains, PrepareStats{}, start)
 }
 
 // assemble builds the passive network and finishes construction of p,
-// whose points, mode and (dense) matrix are already set. netMatrix
-// (possibly nil, possibly transient) drives the kernel edge builder.
-// st carries the stage timings accumulated so far; assemble adds the
-// network stage and the end-to-end total from start.
-func (p *Problem) assemble(netMatrix *domgraph.Matrix, dec chains.Decomposition, exact bool, st PrepareStats, start time.Time) (*Problem, error) {
-	ws := p.ws
+// whose points, mode and (dense) matrix are already set. At d ≥ 3 a
+// netMatrix (possibly transient) drives the kernel path — contending
+// scan and cover network, exactly passive.Solve's own d ≥ 3 network —
+// and cover is unused; otherwise the network follows cover, p's chain
+// decomposition. At d ≤ 2 legacy Solve never materializes a matrix,
+// so neither do we: the chain path is the reference there. st carries
+// the stage timings accumulated so far; assemble adds the network
+// stage and the end-to-end total from start.
+func (p *Problem) assemble(netMatrix *domgraph.Matrix, cover [][]int, st PrepareStats, start time.Time) (*Problem, error) {
 	netStart := time.Now()
-	popts := passive.Options{Chains: dec.Chains}
+	popts := passive.Options{Chains: cover}
 	if netMatrix != nil && p.dim >= 3 {
-		// Kernel path, mirroring passive.Solve's own d ≥ 3 dispatch so
-		// the constructed network is bit-identical to the legacy one.
-		// At d ≤ 2 legacy Solve never materializes a matrix, so neither
-		// do we — the chain-index path is the reference there.
-		popts.Matrix = netMatrix
+		popts = passive.Options{Matrix: netMatrix}
 	}
-	prep, err := passive.Prepare(ws, popts)
+	prep, err := passive.Prepare(p.ws, popts)
 	if err != nil {
 		return nil, err
 	}
 	st.NetworkNS = time.Since(netStart).Nanoseconds()
 	st.TotalNS = time.Since(start).Nanoseconds()
-	st.N, st.Dim = len(ws), p.dim
+	st.N, st.Dim = len(p.ws), p.dim
 	st.Mode = p.mode.String()
-	st.Width, st.ExactWidth = dec.Width, exact
-	p.dec, p.exactWidth, p.stats, p.prep = dec, exact, st, prep
+	p.stats, p.prep = st, prep
 	return p, nil
+}
+
+// setDecomposition records a computed decomposition; it runs inside
+// decOnce.
+func (p *Problem) setDecomposition(dec chains.Decomposition, dst chains.DecomposeStats, exact bool, path string, took time.Duration) {
+	p.dec, p.exactWidth = dec, exact
+	p.decStats.Store(&PrepareStats{
+		Width:         dec.Width,
+		ExactWidth:    exact,
+		DecomposePath: path,
+		SeedChains:    dst.SeedChains,
+		Augmentations: dst.Augmentations,
+		Phases:        dst.Phases,
+		CertEarlyExit: dst.CertEarlyExit,
+		DecomposeNS:   took.Nanoseconds(),
+	})
+}
+
+// decomposition returns the chain decomposition, computing a deferred
+// one on the first call; the result aliases p.
+func (p *Problem) decomposition() chains.Decomposition {
+	p.decOnce.Do(func() {
+		start := time.Now()
+		var dec chains.Decomposition
+		var dst chains.DecomposeStats
+		if p.dim <= 2 {
+			// Adopt at d ≤ 2: the O(n log n) decomposition, the one
+			// passive's kernel path also uses there.
+			dec = chains.Decompose(p.pts)
+		} else {
+			dec, dst = chains.DecomposeMatrixStats(p.pts, p.matrix)
+		}
+		p.setDecomposition(dec, dst, true, p.decPath, time.Since(start))
+	})
+	return p.dec
 }
 
 func pointsOf(ws geom.WeightedSet) []geom.Point {
@@ -391,6 +445,13 @@ func pointsOf(ws geom.WeightedSet) []geom.Point {
 		pts[i] = ws[i].P
 	}
 	return pts
+}
+
+// exactTransient reports whether a Problem of n points at dimension d
+// in mode, under the resolved options o, materializes the matrix
+// transiently for an exact decomposition (and its network).
+func exactTransient(o Options, mode MatrixMode, n, d int) bool {
+	return mode != ModeDense && d >= 3 && n <= o.ExactDecomposeLimit && denseFootprint(n) <= o.MaxDenseBytes
 }
 
 // denseFootprint returns the dom+dag byte cost of a dense matrix over
@@ -459,32 +520,50 @@ func (p *Problem) View() domgraph.View {
 // materialize one.
 func (p *Problem) Matrix() *domgraph.Matrix { return p.matrix }
 
-// Decomposition returns a deep copy of the chain decomposition.
+// Decomposition returns a deep copy of the chain decomposition,
+// computing it on first use (see the package comment).
 func (p *Problem) Decomposition() chains.Decomposition {
+	dec := p.decomposition()
 	cp := chains.Decomposition{
-		Chains:    make([][]int, len(p.dec.Chains)),
-		Width:     p.dec.Width,
-		Antichain: append([]int(nil), p.dec.Antichain...),
+		Chains:    make([][]int, len(dec.Chains)),
+		Width:     dec.Width,
+		Antichain: append([]int(nil), dec.Antichain...),
 	}
-	for i, c := range p.dec.Chains {
+	for i, c := range dec.Chains {
 		cp.Chains[i] = append([]int(nil), c...)
 	}
 	return cp
 }
 
 // Width returns the decomposition's chain count; the dominance width
-// when ExactWidth reports true.
-func (p *Problem) Width() int { return p.dec.Width }
+// when ExactWidth reports true. It computes a deferred decomposition.
+func (p *Problem) Width() int { return p.decomposition().Width }
 
 // ExactWidth reports whether the decomposition is minimum (Dilworth
-// width) rather than a greedy valid cover.
-func (p *Problem) ExactWidth() bool { return p.exactWidth }
+// width) rather than a greedy valid cover. It computes a deferred
+// decomposition.
+func (p *Problem) ExactWidth() bool {
+	p.decomposition()
+	return p.exactWidth
+}
 
 // Stats returns the prepare instrumentation: per-stage wall times,
 // the decomposition path taken (exact vs the greedy fallback), and the
 // warm-start work counters. Loaded Problems carry PathLoaded with zero
-// timings.
-func (p *Problem) Stats() PrepareStats { return p.stats }
+// timings. Stats never computes a deferred decomposition: until the
+// first use it reports PathDeferred with zero decomposition fields.
+func (p *Problem) Stats() PrepareStats {
+	st := p.stats
+	d := p.decStats.Load()
+	if d == nil {
+		st.DecomposePath = PathDeferred
+		return st
+	}
+	st.Width, st.ExactWidth, st.DecomposePath = d.Width, d.ExactWidth, d.DecomposePath
+	st.SeedChains, st.Augmentations, st.Phases, st.CertEarlyExit = d.SeedChains, d.Augmentations, d.Phases, d.CertEarlyExit
+	st.DecomposeNS = d.DecomposeNS
+	return st
+}
 
 // Contending returns a copy of the contending-point mask.
 func (p *Problem) Contending() []bool { return p.prep.Contending() }
@@ -496,10 +575,10 @@ func (p *Problem) NumContending() int { return p.prep.NumContending() }
 func (p *Problem) NumEdges() int { return p.prep.NumEdges() }
 
 // Solve re-solves the prepared network with the default flow solver —
-// bit-identical to passive.Solve(WeightedSet(), passive.Options{})
-// when the decomposition is exact, at a fraction of the cost: the
-// validation, contending scan, decomposition, and network build are
-// all amortized into Prepare.
+// bit-identical to passive.Solve(WeightedSet(), passive.Options{}) at
+// a fraction of the cost: the validation, contending scan and network
+// build are all amortized into Prepare, and the solve never reads the
+// decomposition.
 func (p *Problem) Solve() (passive.Solution, error) {
 	return p.SolveWith(SolveOptions{})
 }
@@ -531,7 +610,7 @@ func (p *Problem) Violations() int {
 	case len(p.ws) <= streamCountLimit:
 		p.violations = domgraph.ViewCountViolations(p.View(), labels)
 	default:
-		p.violations = chainCountViolations(p.pts, labels, p.dec.Chains)
+		p.violations = chainCountViolations(p.pts, labels, p.decomposition().Chains)
 	}
 	p.violationsOK = true
 	return p.violations

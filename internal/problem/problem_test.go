@@ -219,9 +219,16 @@ func TestRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Prepare(%v): %v", mode, err)
 			}
+			// Dense defers the decomposition at d ≥ 3; Write computes it.
+			if got, want := p.Stats().DecomposePath == PathDeferred, mode == ModeDense && d >= 3; got != want {
+				t.Fatalf("Prepare(%v): stats %+v, deferred want %v", mode, p.Stats(), want)
+			}
 			var buf bytes.Buffer
 			if err := Write(&buf, p); err != nil {
 				t.Fatalf("Write(%v): %v", mode, err)
+			}
+			if st := p.Stats(); st.DecomposePath == PathDeferred || st.Width != p.Width() || !st.ExactWidth {
+				t.Fatalf("Write(%v) left stats %+v", mode, st)
 			}
 			q, err := Read(bytes.NewReader(buf.Bytes()))
 			if err != nil {

@@ -118,9 +118,11 @@ func decodeWords(s string) ([]uint64, error) {
 	return words, nil
 }
 
-// Write serializes p as versioned JSON. The flow network is not
-// stored; Read rebuilds it from the stored decomposition.
+// Write serializes p as versioned JSON, computing a deferred
+// decomposition first. The flow network is not stored; Read rebuilds
+// it.
 func Write(w io.Writer, p *Problem) error {
+	dec := p.decomposition()
 	pf := problemFile{
 		Format:     "monoclass-problem",
 		Version:    1,
@@ -128,9 +130,9 @@ func Write(w io.Writer, p *Problem) error {
 		Dim:        p.dim,
 		Labels:     make([]int, len(p.ws)),
 		Weights:    make([]float64, len(p.ws)),
-		Chains:     p.dec.Chains,
-		Antichain:  p.dec.Antichain,
-		Width:      p.dec.Width,
+		Chains:     dec.Chains,
+		Antichain:  dec.Antichain,
+		Width:      dec.Width,
 		ExactWidth: p.exactWidth,
 	}
 	for _, pt := range p.pts {
@@ -256,9 +258,16 @@ func Read(r io.Reader) (*Problem, error) {
 	// A restored Problem keeps its stored decomposition verbatim;
 	// PathLoaded with zero stage timings marks it as not freshly
 	// prepared.
-	st := PrepareStats{DecomposePath: PathLoaded}
 	p := &Problem{ws: ws, pts: pts, dim: pf.Dim, mode: mode, matrix: matrix}
-	p, err = p.assemble(matrix, decomp, pf.ExactWidth, st, time.Now())
+	p.decOnce.Do(func() { p.setDecomposition(decomp, chains.DecomposeStats{}, pf.ExactWidth, PathLoaded, 0) })
+	// An exact non-dense Problem at d ≥ 3 was prepared on a transient
+	// matrix, and its network is the cover relation; rebuild it the
+	// same way where the default limits allow a transient matrix.
+	netMatrix := matrix
+	if pf.ExactWidth && exactTransient(Options{}.withDefaults(), mode, n, pf.Dim) {
+		netMatrix = domgraph.Build(pts)
+	}
+	p, err = p.assemble(netMatrix, decomp.Chains, PrepareStats{}, time.Now())
 	if err != nil {
 		return nil, err
 	}

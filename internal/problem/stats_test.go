@@ -9,9 +9,38 @@ import (
 	"monoclass/internal/passive"
 )
 
+// deferredStats asserts that p's decomposition has not run yet: Stats
+// reports PathDeferred with zero decomposition fields. It returns the
+// Stats read after the first Decomposition() call, which must keep
+// every prepare field and TotalNS unchanged.
+func deferredStats(t *testing.T, p *Problem) PrepareStats {
+	t.Helper()
+	before := p.Stats()
+	if before.DecomposePath != PathDeferred || before.Width != 0 || before.ExactWidth ||
+		before.SeedChains != 0 || before.Augmentations != 0 || before.Phases != 0 ||
+		before.CertEarlyExit || before.DecomposeNS != 0 {
+		t.Fatalf("deferred stats %+v", before)
+	}
+	if before.TotalNS <= 0 || before.TotalNS < before.NetworkNS+before.MatrixNS {
+		t.Fatalf("deferred timing stats %+v", before)
+	}
+	p.Decomposition()
+	after := p.Stats()
+	if after.DecomposeNS <= 0 {
+		t.Fatalf("first use untimed: %+v", after)
+	}
+	if after.N != before.N || after.Dim != before.Dim || after.Mode != before.Mode ||
+		after.MatrixNS != before.MatrixNS || after.NetworkNS != before.NetworkNS || after.TotalNS != before.TotalNS {
+		t.Fatalf("first use changed prepare stats: %+v -> %+v", before, after)
+	}
+	return after
+}
+
 // TestPrepareStatsPaths pins which DecomposePath each Prepare route
 // records, that exact paths carry warm-start counters consistent with
-// the width, and that stage timings are populated.
+// the width, and that stage timings are populated. Dense routes at
+// d ≥ 3 defer the decomposition: they report PathDeferred until the
+// first Decomposition() call, then the path that ran.
 func TestPrepareStatsPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 
@@ -31,7 +60,7 @@ func TestPrepareStatsPaths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := p.Stats()
+		st := deferredStats(t, p)
 		if st.DecomposePath != PathExactDense || !st.ExactWidth {
 			t.Fatalf("stats %+v", st)
 		}
@@ -81,7 +110,7 @@ func TestPrepareStatsPaths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st := p.Stats(); st.DecomposePath != PathAdopted || !st.ExactWidth {
+		if st := deferredStats(t, p); st.DecomposePath != PathAdopted || !st.ExactWidth || st.Width != p.Width() {
 			t.Fatalf("stats %+v", st)
 		}
 	})
@@ -131,7 +160,8 @@ func TestRaisedExactLimitGuard(t *testing.T) {
 
 // TestPrepareWarmStartSmoke is the CI quick-smoke: one warm-started
 // exact prepare on a d=3 instance big enough to run real matching
-// phases, solved end to end. make ci-smoke runs it under -race.
+// phases (on first use, after the deferred state is checked), solved
+// end to end. make ci-smoke runs it under -race.
 func TestPrepareWarmStartSmoke(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ws := randomSet(rng, 512, 3)
@@ -139,7 +169,7 @@ func TestPrepareWarmStartSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := p.Stats()
+	st := deferredStats(t, p)
 	if st.DecomposePath != PathExactDense || !st.ExactWidth {
 		t.Fatalf("smoke prepare took path %q (exact %v)", st.DecomposePath, st.ExactWidth)
 	}

@@ -6,11 +6,13 @@
 // passive solver's positive region is reported through it.
 //
 // The 2-D case runs in O(n log n) by a sort-and-sweep; the general
-// case is the standard O(d·n·s) scan (s = skyline size), quadratic
-// only when the skyline itself is.
+// case is sort-filter-skyline, O(d·n·s) after the sort (s = skyline
+// size), quadratic only when the skyline itself is.
 package skyline
 
 import (
+	"math"
+	"slices"
 	"sort"
 
 	"monoclass/internal/geom"
@@ -28,7 +30,10 @@ func Minimal(pts []geom.Point) []int {
 	if len(pts[0]) == 2 {
 		return minimal2D(pts)
 	}
-	return minimalGeneric(pts)
+	if len(pts[0]) == 0 || hasNaN(pts) {
+		return minimalScan(pts)
+	}
+	return minimalSFS(pts)
 }
 
 // Maximal returns the indices of the maximal points of pts (the
@@ -49,8 +54,71 @@ func Maximal(pts []geom.Point) []int {
 	return Minimal(neg)
 }
 
-// minimalGeneric is the dimension-agnostic scan.
-func minimalGeneric(pts []geom.Point) []int {
+// minimalSFS is sort-filter-skyline: in lexicographic order (ties by
+// index) everything a point strictly dominates comes before it, and so
+// does every duplicate with a smaller index, so a point is minimal iff
+// it dominates none of the minima kept so far. Only those are tested;
+// their coordinates sit in one flat slice.
+func minimalSFS(pts []geom.Point) []int {
+	d := len(pts[0])
+	order := make([]int, len(pts))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		pa, pb := pts[a], pts[b]
+		for k := range pa {
+			if pa[k] != pb[k] {
+				if pa[k] < pb[k] {
+					return -1
+				}
+				return 1
+			}
+		}
+		return a - b
+	})
+	var out []int
+	var kept []float64 // coordinates of out's points, d per point
+next:
+	for _, i := range order {
+		p := pts[i]
+		for off := 0; off < len(kept); off += d {
+			q := kept[off : off+d]
+			dom := true
+			for k, v := range q {
+				if p[k] < v {
+					dom = false
+					break
+				}
+			}
+			if dom {
+				continue next
+			}
+		}
+		out = append(out, i)
+		kept = append(kept, p...)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// hasNaN reports whether any coordinate is NaN. NaN breaks the total
+// order the sort needs, so such sets take the pairwise scan (as do
+// zero-dimensional points, which all coincide).
+func hasNaN(pts []geom.Point) bool {
+	for _, p := range pts {
+		for _, v := range p {
+			if math.IsNaN(v) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// minimalScan is the pairwise scan by the definition, kept for point
+// sets with NaN coordinates.
+func minimalScan(pts []geom.Point) []int {
 	var out []int
 	for i, p := range pts {
 		minimal := true

@@ -1,13 +1,15 @@
 package skyline
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"monoclass/internal/geom"
 )
 
-// bruteMinimal is the definition, used as oracle.
+// bruteMinimal is the definition, used as oracle: the pairwise scan
+// Minimal ran at every d ≠ 2 before sort-filter-skyline.
 func bruteMinimal(pts []geom.Point) []int {
 	var out []int
 	for i, p := range pts {
@@ -102,6 +104,47 @@ func TestMinimalHigherDims(t *testing.T) {
 		}
 		if !equalInts(Minimal(pts), bruteMinimal(pts)) {
 			t.Fatalf("trial %d: mismatch", trial)
+		}
+	}
+}
+
+// TestMinimalSFSMatchesScan: sort-filter-skyline must return exactly
+// the scan's indices (ascending, duplicates once at the smallest
+// index) for d 3–5 with duplicates and ±Inf, and d 1; NaN inputs take
+// the scan itself, so they match too.
+func TestMinimalSFSMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(60)
+		d := 3 + rng.Intn(3)
+		if trial%10 == 0 {
+			d = 1
+		}
+		grid := 2 + rng.Intn(4)
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			if i > 0 && rng.Intn(5) == 0 {
+				pts[i] = pts[rng.Intn(i)].Clone()
+				continue
+			}
+			p := make(geom.Point, d)
+			for k := range p {
+				p[k] = float64(rng.Intn(grid))
+				switch rng.Intn(12) {
+				case 0:
+					p[k] = math.Inf(1)
+				case 1:
+					p[k] = math.Inf(-1)
+				case 2:
+					if trial%7 == 0 {
+						p[k] = math.NaN()
+					}
+				}
+			}
+			pts[i] = p
+		}
+		if got, want := Minimal(pts), bruteMinimal(pts); !equalInts(got, want) {
+			t.Fatalf("trial %d (n=%d d=%d): Minimal %v, scan %v\npoints %v", trial, n, d, got, want, pts)
 		}
 	}
 }

@@ -49,8 +49,9 @@ const (
 func ParseMatrixMode(s string) (MatrixMode, error) { return problem.ParseMode(s) }
 
 // PrepareProblem builds the prepared form of ws once: dominance
-// representation, chain decomposition, and the Theorem 4 flow network.
-// Every consumer below accepts the result, so nothing is re-derived.
+// representation, chain decomposition (in dense mode on first use),
+// and the Theorem 4 flow network. Every consumer below accepts the
+// result, so nothing is re-derived.
 func PrepareProblem(ws WeightedSet, opts ProblemOptions) (*Problem, error) {
 	return problem.Prepare(ws, opts)
 }
